@@ -12,7 +12,9 @@
 # multi-shard torture/determinism cases in serve_concurrent_test), and the
 # plan-driven async read-ahead path (async_io_test; the io_uring backend
 # compiles out under TSan, so this covers the pread pool + the buffer
-# pool's plan bookkeeping racing demand pins).
+# pool's plan bookkeeping racing demand pins), and the columnar serve path
+# (columnar_serve_test; worker threads pin page runs of the mirror and of
+# the row EDB against a pool smaller than the EDB).
 # Zero reported races is a release gate for the parallel execution and
 # serving subsystems.
 #
@@ -26,7 +28,8 @@ cmake -B "$BUILD" -G Ninja -DIOLAP_SANITIZE=thread
 cmake --build "$BUILD" --target \
   buffer_pool_test disk_manager_test thread_pool_test async_io_test \
   parallel_transitive_test external_sort_test io_pipeline_equivalence_test \
-  obs_test serve_test serve_concurrent_test aggidx_test aggidx_concurrent_test
+  obs_test serve_test serve_concurrent_test aggidx_test aggidx_concurrent_test \
+  columnar_serve_test
 
 export TSAN_OPTIONS="halt_on_error=0:exitcode=66:${TSAN_OPTIONS:-}"
 ctest --test-dir "$BUILD" --output-on-failure \

@@ -37,6 +37,36 @@ void PublishResult(const AllocationResult& result) {
   m->counter("alloc.unallocatable_facts")->Add(result.unallocatable_facts);
 }
 
+/// Applies a run's I/O pipeline knobs to the pool and restores the previous
+/// settings when the run returns, on every path: read-ahead, write-back
+/// batching and plan-driven read-ahead are per-run options, and left on the
+/// pool they would reach every later reader of it (serving scans included).
+class ScopedIoSettings {
+ public:
+  ScopedIoSettings(BufferPool& pool, const IoPipelineOptions& io)
+      : pool_(pool),
+        read_ahead_pages_(pool.read_ahead_pages()),
+        batched_writeback_(pool.batched_writeback()),
+        plan_(pool.plan_read_ahead_config()) {
+    pool_.ConfigureReadAhead(io.read_ahead_pages);
+    pool_.set_batched_writeback(io.batched_writeback);
+    pool_.ConfigurePlanReadAhead(io.io_backend, io.plan_in_flight);
+  }
+  ~ScopedIoSettings() {
+    pool_.ConfigurePlanReadAhead(plan_.backend, plan_.in_flight_chunks);
+    pool_.set_batched_writeback(batched_writeback_);
+    pool_.ConfigureReadAhead(read_ahead_pages_);
+  }
+  ScopedIoSettings(const ScopedIoSettings&) = delete;
+  ScopedIoSettings& operator=(const ScopedIoSettings&) = delete;
+
+ private:
+  BufferPool& pool_;
+  const int read_ahead_pages_;
+  const bool batched_writeback_;
+  const BufferPool::PlanReadAheadConfig plan_;
+};
+
 }  // namespace
 
 Result<AllocationResult> Allocator::Run(StorageEnv& env,
@@ -48,10 +78,7 @@ Result<AllocationResult> Allocator::Run(StorageEnv& env,
   // The I/O pipeline knobs live on the pool for the duration of this run:
   // sequential cursors check them when issuing read-ahead hints and flushes
   // pick per-page vs. batched write-back.
-  env.pool().ConfigureReadAhead(options.io.read_ahead_pages);
-  env.pool().set_batched_writeback(options.io.batched_writeback);
-  env.pool().ConfigurePlanReadAhead(options.io.io_backend,
-                                    options.io.plan_in_flight);
+  ScopedIoSettings io_settings(env.pool(), options.io);
   IoStats io_before = env.disk().stats();
   Stopwatch watch;
 

@@ -54,7 +54,7 @@ struct DatasetSpec {
 };
 
 /// Generates a fact table into a fresh file of `env`. Fact ids are dense
-/// [0, num_facts).
+/// [1, num_facts].
 Result<TypedFile<FactRecord>> GenerateFacts(StorageEnv& env,
                                             const StarSchema& schema,
                                             const DatasetSpec& spec);

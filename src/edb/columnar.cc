@@ -10,7 +10,7 @@ constexpr int64_t kPS = static_cast<int64_t>(kPageSize);
 
 /// Copies stream bytes [range.begin, range.end) of a column whose pages
 /// start at absolute page `base` into `buf`, pinning only the covering
-/// pages.
+/// pages, as one PageRun.
 Status FetchStreamBytes(BufferPool& pool, FileId file, PageId base,
                         const ColumnDesc& col, const ByteRange& range,
                         std::vector<std::byte>* buf) {
@@ -22,12 +22,14 @@ Status FetchStreamBytes(BufferPool& pool, FileId file, PageId base,
   buf->resize(static_cast<size_t>(range.size()));
   const PageId p0 = range.begin / kPS;
   const PageId p1 = (range.end - 1) / kPS;
+  IOLAP_ASSIGN_OR_RETURN(PageRun run,
+                         pool.PinRun(file, base + p0, p1 - p0 + 1));
   for (PageId p = p0; p <= p1; ++p) {
-    IOLAP_ASSIGN_OR_RETURN(PageGuard guard, pool.Pin(file, base + p));
+    IOLAP_ASSIGN_OR_RETURN(const std::byte* page, run.Page(p - p0));
     const int64_t page_lo = p * kPS;
     const int64_t lo = std::max(range.begin, page_lo);
     const int64_t hi = std::min(range.end, page_lo + kPS);
-    std::memcpy(buf->data() + (lo - range.begin), guard.data() + (lo - page_lo),
+    std::memcpy(buf->data() + (lo - range.begin), page + (lo - page_lo),
                 static_cast<size_t>(hi - lo));
   }
   return Status::Ok();

@@ -117,7 +117,10 @@ class MaintenanceManager {
   };
 
   /// Runs preprocessing + Transitive on `facts` (consumed), bulk-loads the
-  /// R-tree from the component directory.
+  /// R-tree from the component directory. `build_result()` reports the
+  /// three phases like Allocator::Run: prep (preprocessing), alloc
+  /// (Transitive, emission included) and emit (directory and R-tree load);
+  /// their demand I/Os sum to the build's whole disk-counter delta.
   static Result<std::unique_ptr<MaintenanceManager>> Build(
       StorageEnv& env, const StarSchema& schema,
       TypedFile<FactRecord>* facts, const AllocationOptions& options);

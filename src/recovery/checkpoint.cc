@@ -399,19 +399,18 @@ Result<bool> CheckpointManager::LoadGeneration(uint64_t gen) {
 
   header_ = h;
   const char* p = blob.data() + sizeof(h);
-  tables_.resize(h.num_tables);
-  std::memcpy(tables_.data(), p, h.num_tables * sizeof(SummaryTableInfo));
-  p += h.num_tables * sizeof(SummaryTableInfo);
-  fences_.resize(h.num_fences);
-  std::memcpy(fences_.data(), p,
-              h.num_fences * sizeof(std::array<int32_t, kMaxDims>));
-  p += h.num_fences * sizeof(std::array<int32_t, kMaxDims>);
-  directory_.resize(h.num_directory);
-  std::memcpy(directory_.data(), p, h.num_directory * sizeof(ComponentInfo));
-  p += h.num_directory * sizeof(ComponentInfo);
-  per_iteration_.resize(h.num_per_iteration);
-  std::memcpy(per_iteration_.data(), p,
-              h.num_per_iteration * sizeof(IterationStats));
+  // Copies the next `n` array elements out of the blob. An empty vector's
+  // data() may be null, and memcpy needs valid pointers even for 0 bytes.
+  auto read_array = [&p](auto* out, int64_t n) {
+    out->resize(static_cast<size_t>(n));
+    const size_t bytes = out->size() * sizeof(out->front());
+    if (bytes > 0) std::memcpy(out->data(), p, bytes);
+    p += bytes;
+  };
+  read_array(&tables_, h.num_tables);
+  read_array(&fences_, h.num_fences);
+  read_array(&directory_, h.num_directory);
+  read_array(&per_iteration_, h.num_per_iteration);
   return true;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -136,25 +137,38 @@ namespace {
 
 /// Scans one chunk's row parts, filtering tombstones and the region, and
 /// feeds matching rows to `fn(group, weight, measure)` in ascending row
-/// order. `dim < 0` puts every row in group 0 (point aggregate).
+/// order. `dim < 0` puts every row in group 0 (point aggregate). Each part's
+/// pages are pinned as one PageRun and its records read in place, so a
+/// chunk costs two pool-latch acquisitions rather than two per page.
 template <typename Fn>
 Status ScanChunk(StorageEnv* env, const StarSchema* schema,
                  const TypedFile<EdbRecord>* edb,
                  const std::vector<RowRange>& parts, const QueryRegion& region,
                  int dim, int level, int64_t* rows_seen, Fn&& fn) {
+  using File = TypedFile<EdbRecord>;
   const Hierarchy* h = dim >= 0 ? &schema->dim(dim) : nullptr;
   EdbRecord rec;
   for (const RowRange& part : parts) {
-    auto cursor = edb->Scan(env->pool(), part.begin, part.end);
-    while (!cursor.done()) {
-      IOLAP_RETURN_IF_ERROR(cursor.Next(&rec));
-      ++*rows_seen;
-      if (rec.weight == 0 && rec.fact_id == -1) continue;  // tombstone
-      if (!RegionContainsLeaf(*schema, region, rec.leaf)) continue;
-      const int32_t g =
-          h != nullptr ? h->LeafAncestorOrdinal(rec.leaf[dim], level) : 0;
-      fn(g, rec.weight, rec.measure);
+    const PageId first = File::PageOf(part.begin);
+    const int64_t pages = File::PageOf(part.end - 1) - first + 1;
+    IOLAP_ASSIGN_OR_RETURN(PageRun run,
+                           env->pool().PinRun(edb->file_id(), first, pages));
+    int64_t row = part.begin;
+    for (int64_t i = 0; i < run.size(); ++i) {
+      IOLAP_ASSIGN_OR_RETURN(const std::byte* page, run.Page(i));
+      const int64_t page_end =
+          std::min(part.end, (first + i + 1) * File::kRecordsPerPage);
+      for (; row < page_end; ++row) {
+        std::memcpy(&rec, page + File::SlotOf(row) * sizeof(EdbRecord),
+                    sizeof(EdbRecord));
+        if (rec.weight == 0 && rec.fact_id == -1) continue;  // tombstone
+        if (!RegionContainsLeaf(*schema, region, rec.leaf)) continue;
+        const int32_t g =
+            h != nullptr ? h->LeafAncestorOrdinal(rec.leaf[dim], level) : 0;
+        fn(g, rec.weight, rec.measure);
+      }
     }
+    *rows_seen += part.end - part.begin;
   }
   return Status::Ok();
 }

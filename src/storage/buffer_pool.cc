@@ -65,7 +65,7 @@ BufferPool::~BufferPool() {
   // backend without mu_ held — its teardown can deliver completions that
   // re-acquire mu_.
   {
-    std::unique_lock<std::mutex> lock(mu_);
+    auto lock = Latch();
     plan_active_ = false;
     while (plan_outstanding_ > 0) plan_cv_.wait(lock);
   }
@@ -81,7 +81,7 @@ BufferPool::~BufferPool() {
   // loses data (see the class-comment destruction contract). Best-effort:
   // a destructor cannot propagate Status, so failures are logged (and
   // assert in debug builds — a lost write here is a caller bug).
-  std::lock_guard<std::mutex> lock(mu_);
+  auto lock = Latch();
   for (Frame& frame : frames_) {
     if (frame.file == kInvalidFileId || !frame.dirty) continue;
     Status flushed = FlushFrame(frame);
@@ -97,7 +97,7 @@ BufferPool::~BufferPool() {
 }
 
 size_t BufferPool::pinned_pages() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  auto lock = Latch();
   size_t n = 0;
   for (const Frame& f : frames_) {
     if (f.pin_count > 0) ++n;
@@ -236,8 +236,118 @@ Status BufferPool::FlushFramesBatched(std::vector<int32_t>& frame_indices) {
   return Status::Ok();
 }
 
+PageRun::PageRun(PageRun&& other) noexcept
+    : pool_(other.pool_),
+      file_(other.file_),
+      first_(other.first_),
+      count_(other.count_),
+      frames_(std::move(other.frames_)),
+      current_(std::move(other.current_)),
+      current_index_(other.current_index_) {
+  other.pool_ = nullptr;
+  other.frames_.clear();
+  other.current_index_ = -1;
+}
+
+PageRun& PageRun::operator=(PageRun&& other) noexcept {
+  if (this != &other) {
+    Release();
+    pool_ = other.pool_;
+    file_ = other.file_;
+    first_ = other.first_;
+    count_ = other.count_;
+    frames_ = std::move(other.frames_);
+    current_ = std::move(other.current_);
+    current_index_ = other.current_index_;
+    other.pool_ = nullptr;
+    other.frames_.clear();
+    other.current_index_ = -1;
+  }
+  return *this;
+}
+
+Result<const std::byte*> PageRun::Page(int64_t i) {
+  if (pool_ == nullptr || i < 0 || i >= count_) {
+    return Status::OutOfRange("page " + std::to_string(i) +
+                              " outside the run");
+  }
+  if (!frames_.empty()) return pool_->FrameData(frames_[i]);
+  if (current_index_ != i) {
+    // Drop the previous page before pinning the next, as a single-page
+    // sequential reader does, so a degraded run never holds two frames.
+    current_.Release();
+    current_index_ = -1;
+    IOLAP_ASSIGN_OR_RETURN(current_, pool_->Pin(file_, first_ + i));
+    current_index_ = i;
+  }
+  return static_cast<const std::byte*>(current_.data());
+}
+
+void PageRun::Release() {
+  if (pool_ == nullptr) return;
+  if (!frames_.empty()) pool_->UnpinRun(frames_);
+  frames_.clear();
+  current_.Release();
+  current_index_ = -1;
+  pool_ = nullptr;
+}
+
 Result<PageGuard> BufferPool::Pin(FileId file, PageId page) {
-  std::unique_lock<std::mutex> lock(mu_);
+  auto lock = Latch();
+  int64_t metric_hits = 0;
+  IOLAP_ASSIGN_OR_RETURN(int32_t idx,
+                         PinFrameLocked(lock, file, page, &metric_hits));
+  if (metric_hits > 0 && hits_counter_ != nullptr) {
+    hits_counter_->Add(metric_hits);
+  }
+  return PageGuard(this, idx);
+}
+
+Result<PageRun> BufferPool::PinRun(FileId file, PageId first, int64_t count) {
+  PageRun run;
+  run.pool_ = this;
+  run.file_ = file;
+  run.first_ = first;
+  run.count_ = std::max<int64_t>(count, 0);
+  if (run.count_ == 0) return run;
+  auto lock = Latch();
+  // Hold the run only while it and every frame already pinned fit in half
+  // the pool: the misses inside it then always find an unpinned victim (at
+  // most half the frames are pinned), and concurrent single-page readers
+  // keep the other half. An active access plan keeps its pin-by-pin
+  // consumption cursor, so runs degrade to Pin while one is running.
+  const size_t pinned =
+      capacity_ - free_frames_.size() - plan_annex_.size() - lru_.size();
+  if (plan_active_ ||
+      pinned + static_cast<size_t>(run.count_) > capacity_ / 2) {
+    return run;
+  }
+  run.frames_.reserve(static_cast<size_t>(run.count_));
+  int64_t metric_hits = 0;
+  Status status = Status::Ok();
+  for (PageId p = first; p < first + run.count_ && status.ok(); ++p) {
+    Result<int32_t> idx = PinFrameLocked(lock, file, p, &metric_hits);
+    if (idx.ok()) {
+      run.frames_.push_back(idx.value());
+    } else {
+      status = idx.status();
+    }
+  }
+  if (metric_hits > 0 && hits_counter_ != nullptr) {
+    hits_counter_->Add(metric_hits);
+  }
+  if (!status.ok()) {
+    for (int32_t frame : run.frames_) UnpinLocked(frame);
+    run.frames_.clear();
+    run.pool_ = nullptr;
+    return status;
+  }
+  return run;
+}
+
+Result<int32_t> BufferPool::PinFrameLocked(std::unique_lock<std::mutex>& lock,
+                                           FileId file, PageId page,
+                                           int64_t* metric_hits) {
   const Key key{file, page};
   auto it = page_table_.find(key);
   if (it == page_table_.end() && read_ahead_pages() > 0 &&
@@ -281,14 +391,14 @@ Result<PageGuard> BufferPool::Pin(FileId file, PageId page) {
     } else {
       ++stats_.hits;
     }
-    if (hits_counter_ != nullptr) hits_counter_->Add(1);
+    ++*metric_hits;
     if (frame.in_lru) {
       lru_.erase(frame.lru_pos);
       frame.in_lru = false;
     }
     ++frame.pin_count;
     if (plan_active_ && !plan_sync_) PlanNotifyPinLocked(file, page);
-    return PageGuard(this, it->second);
+    return it->second;
   }
   auto pending =
       plan_pending_.empty() ? plan_pending_.end() : plan_pending_.find(key);
@@ -315,7 +425,7 @@ Result<PageGuard> BufferPool::Pin(FileId file, PageId page) {
     MaybeFreeChunkLocked(tag);
     ++stats_.prefetch_hits;
     disk_->ChargeDemandRead();
-    if (hits_counter_ != nullptr) hits_counter_->Add(1);
+    ++*metric_hits;
     frame.file = file;
     frame.page = page;
     frame.pin_count = 1;
@@ -324,7 +434,7 @@ Result<PageGuard> BufferPool::Pin(FileId file, PageId page) {
     page_table_[key] = idx;
     TouchOccupancyGauge();
     if (plan_active_ && !plan_sync_) PlanNotifyPinLocked(file, page);
-    return PageGuard(this, idx);
+    return idx;
   }
   if (plan_active_) {
     // The page is planned but not yet read (synchronous plan mode, or the
@@ -333,11 +443,11 @@ Result<PageGuard> BufferPool::Pin(FileId file, PageId page) {
     // read.
     const int32_t idx = TryServePlannedChunkLocked(file, page);
     if (idx >= 0) {
-      if (hits_counter_ != nullptr) hits_counter_->Add(1);
+      ++*metric_hits;
       // The serve already advanced next_submit; the consume cursor only
       // feeds the async pump.
       if (!plan_sync_) PlanNotifyPinLocked(file, page);
-      return PageGuard(this, idx);
+      return idx;
     }
   }
   ++stats_.misses;
@@ -358,11 +468,11 @@ Result<PageGuard> BufferPool::Pin(FileId file, PageId page) {
   page_table_[key] = idx;
   TouchOccupancyGauge();
   if (plan_active_ && !plan_sync_) PlanNotifyPinLocked(file, page);
-  return PageGuard(this, idx);
+  return idx;
 }
 
 Result<PageGuard> BufferPool::PinNew(FileId file, PageId page) {
-  std::lock_guard<std::mutex> lock(mu_);
+  auto lock = Latch();
   IOLAP_ASSIGN_OR_RETURN(int64_t size, disk_->SizeInPages(file));
   if (page != size) {
     return Status::InvalidArgument(
@@ -394,7 +504,16 @@ Result<PageGuard> BufferPool::PinNew(FileId file, PageId page) {
 }
 
 void BufferPool::Unpin(int32_t frame_index) {
-  std::lock_guard<std::mutex> lock(mu_);
+  auto lock = Latch();
+  UnpinLocked(frame_index);
+}
+
+void BufferPool::UnpinRun(const std::vector<int32_t>& frames) {
+  auto lock = Latch();
+  for (int32_t frame : frames) UnpinLocked(frame);
+}
+
+void BufferPool::UnpinLocked(int32_t frame_index) {
   Frame& frame = frames_[frame_index];
   if (--frame.pin_count == 0) {
     lru_.push_back(frame_index);
@@ -441,7 +560,7 @@ void BufferPool::Prefetch(FileId file, PageId first, int64_t count) {
   }
   uint64_t epoch;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    auto lock = Latch();
     // Fold drops batched by the lock-free fast path into the counters the
     // decay logic below reads.
     const int64_t fast = gate_fast_drops_.exchange(0, std::memory_order_relaxed);
@@ -538,7 +657,7 @@ void BufferPool::PrefetcherLoop() {
 
 void BufferPool::ServicePrefetch(const PrefetchRequest& req,
                                  std::vector<std::byte>* staging) {
-  std::lock_guard<std::mutex> lock(mu_);
+  auto lock = Latch();
   ServicePrefetchLocked(req, staging);
 }
 
@@ -635,7 +754,7 @@ void BufferPool::DrainPrefetches() {
 }
 
 Status BufferPool::FlushFile(FileId file) {
-  std::lock_guard<std::mutex> lock(mu_);
+  auto lock = Latch();
   if (batched_writeback()) {
     std::vector<int32_t> dirty;
     for (size_t i = 0; i < frames_.size(); ++i) {
@@ -665,7 +784,7 @@ Status BufferPool::EvictFile(FileId file) {
     queue_depth_.store(static_cast<int64_t>(queue_.size()),
                        std::memory_order_relaxed);
   }
-  std::lock_guard<std::mutex> lock(mu_);
+  auto lock = Latch();
   ++file_epochs_[file];
   DropPlanStateForFileLocked(file);
   for (size_t i = 0; i < frames_.size(); ++i) {
@@ -723,7 +842,8 @@ void BufferPool::ConfigurePlanReadAhead(AsyncBackendKind backend,
                                         int in_flight_chunks) {
   std::unique_ptr<AsyncReader> retired;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    auto lock = Latch();
+    plan_requested_ = backend;
     const AsyncBackendKind resolved = ResolveAsyncBackend(backend);
     if (resolved != plan_backend_) retired = std::move(async_reader_);
     plan_backend_ = resolved;
@@ -748,7 +868,7 @@ void BufferPool::ConfigurePlanReadAhead(AsyncBackendKind backend,
 BufferPool::PlannedAccess BufferPool::BeginPlannedAccess(
     const AccessPlan& plan) {
   if (plan.empty()) return PlannedAccess();
-  std::lock_guard<std::mutex> lock(mu_);
+  auto lock = Latch();
   if (plan_backend_ == AsyncBackendKind::kOff || plan_active_) {
     return PlannedAccess();
   }
@@ -787,7 +907,7 @@ BufferPool::PlannedAccess BufferPool::BeginPlannedAccess(
 }
 
 void BufferPool::EndPlannedAccess() {
-  std::unique_lock<std::mutex> lock(mu_);
+  auto lock = Latch();
   plan_active_ = false;  // stops further pumps; completions still resolve
   while (plan_outstanding_ > 0) plan_cv_.wait(lock);
   // Pages still parked in chunk buffers were physically read but never
@@ -982,7 +1102,7 @@ void BufferPool::PlanNotifyPinLocked(FileId file, PageId page) {
 }
 
 void BufferPool::PlanReadComplete(uint64_t tag, bool ok) {
-  std::lock_guard<std::mutex> lock(mu_);
+  auto lock = Latch();
   auto cit = plan_chunks_.find(tag);
   if (cit == plan_chunks_.end()) return;
   PlanChunk& chunk = *cit->second;
@@ -1075,7 +1195,7 @@ void BufferPool::MaybeFreeChunkLocked(uint64_t tag) {
 }
 
 Status BufferPool::FlushAll() {
-  std::lock_guard<std::mutex> lock(mu_);
+  auto lock = Latch();
   if (batched_writeback()) {
     std::vector<int32_t> dirty;
     for (size_t i = 0; i < frames_.size(); ++i) {

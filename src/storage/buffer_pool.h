@@ -53,19 +53,73 @@ class PageGuard {
   int32_t frame_ = -1;
 };
 
+/// RAII pin on a run of consecutive pages of one file, from
+/// `BufferPool::PinRun`. A *held* run pinned every page under one pool-latch
+/// acquisition and unpins them all under one more on release. A *degraded*
+/// run (the pool could not spare the frames, or an access plan is active)
+/// pins one page at a time on `Page()`, exactly like a sequential reader of
+/// single-page guards. Callers see the same bytes either way. Move-only;
+/// used by one thread at a time.
+class PageRun {
+ public:
+  PageRun() = default;
+  ~PageRun() { Release(); }
+
+  PageRun(const PageRun&) = delete;
+  PageRun& operator=(const PageRun&) = delete;
+  PageRun(PageRun&& other) noexcept;
+  PageRun& operator=(PageRun&& other) noexcept;
+
+  int64_t size() const { return count_; }
+  /// True when every page of the run is pinned (not degraded).
+  bool held() const { return !frames_.empty(); }
+
+  /// Bytes of the run's i-th page, 0 <= i < size(). On a held run the
+  /// pointer stays valid until Release; on a degraded run only until the
+  /// next Page call, which swaps the single pin (and may fail like Pin).
+  Result<const std::byte*> Page(int64_t i);
+
+  /// Drops every pin early (idempotent).
+  void Release();
+
+ private:
+  friend class BufferPool;
+
+  BufferPool* pool_ = nullptr;
+  FileId file_ = kInvalidFileId;
+  PageId first_ = 0;
+  int64_t count_ = 0;
+  std::vector<int32_t> frames_;  // held: frame of page first_ + i
+  PageGuard current_;            // degraded: the one pinned page
+  int64_t current_index_ = -1;   // degraded: which page current_ pins
+};
+
 /// Fixed-capacity LRU buffer pool over a DiskManager. This is the memory
 /// budget `B` in the paper's cost model: every algorithm accesses table
 /// pages exclusively through the pool, so restricting the pool's capacity
 /// reproduces the paper's "memory limited to a restricted buffer pool"
 /// experimental setup.
 ///
-/// Thread-safety: all pin/unpin/flush/evict bookkeeping is serialized by a
-/// single pool mutex (held across the disk read of a miss, so concurrent
-/// misses do not overlap their I/O — the parallel execution layer targets
-/// CPU-bound workloads whose pages are pool hits). Page *contents* are
-/// accessed through PageGuard without the mutex: a pinned frame is never
-/// evicted or re-assigned, and the frame buffers are allocated once in the
-/// constructor, so `data()` pointers stay stable. Concurrent readers of one
+/// Thread-safety: all frame bookkeeping — pins, unpins, flushes, evictions —
+/// is serialized by a single pool mutex, the latch (held across the disk
+/// read of a miss, so concurrent misses do not overlap their I/O — the
+/// parallel execution layer targets CPU-bound workloads whose pages are pool
+/// hits). `Pin` and a PageGuard's release take the latch once per page.
+/// Scans that know their page span use `PinRun` instead: one acquisition
+/// pins a whole run of consecutive pages and one more unpins it, so a
+/// chunked parallel scan takes O(chunks), not O(pages), acquisitions
+/// (`PoolStats::latch_acquisitions` counts them). A run keeps the per-page
+/// contract of `Pin`: every page is charged as a hit, a consumed prefetch,
+/// or a miss (served in ascending page order through the same victim and
+/// read path), and releasing the run unpins its pages in ascending order, so
+/// the LRU ends exactly as a page-at-a-time pin/unpin of those pages leaves
+/// it. A run is held only while it and the frames already pinned fit in
+/// half the pool; otherwise, and whenever an access plan is active, it
+/// degrades to one-page-at-a-time pins, so it never fails where a
+/// single-page scan would succeed. Page *contents* are accessed through
+/// PageGuard/PageRun without the latch: a pinned frame is never evicted or
+/// re-assigned, and the frame buffers are allocated once in the
+/// constructor, so data pointers stay stable. Concurrent readers of one
 /// page are safe; writers of one page must be externally serialized.
 ///
 /// Read-ahead: `Prefetch` enqueues a hint serviced by one background
@@ -114,6 +168,12 @@ class BufferPool {
 
   /// Pins an existing page, reading it from disk on a miss.
   Result<PageGuard> Pin(FileId file, PageId page);
+
+  /// Pins pages [first, first + count) of `file` as one run under a single
+  /// latch acquisition (see the class comment for the accounting and
+  /// degradation contract). Fails only where pinning the pages one at a
+  /// time would: with an I/O error, or a page past the end of the file.
+  Result<PageRun> PinRun(FileId file, PageId first, int64_t count);
 
   /// Pins a brand-new page at the end of `file` without a disk read. The
   /// frame starts zeroed and dirty; `page` must equal the file's current
@@ -165,6 +225,22 @@ class BufferPool {
   /// backend returns an inert guard and the reader proceeds on demand
   /// reads alone. Streams are clamped to the current file sizes.
   PlannedAccess BeginPlannedAccess(const AccessPlan& plan);
+
+  /// The backend requested by the last ConfigurePlanReadAhead call and
+  /// the in-flight bound in effect (kOff and 4 before the first call);
+  /// passing them back to ConfigurePlanReadAhead restores the plan mode.
+  struct PlanReadAheadConfig {
+    AsyncBackendKind backend;
+    int in_flight_chunks;
+    bool operator==(const PlanReadAheadConfig& o) const {
+      return backend == o.backend && in_flight_chunks == o.in_flight_chunks;
+    }
+  };
+  PlanReadAheadConfig plan_read_ahead_config() const {
+    auto lock = Latch();
+    return {plan_requested_, plan_in_flight_};
+  }
+
   int read_ahead_pages() const {
     return read_ahead_pages_.load(std::memory_order_relaxed);
   }
@@ -203,7 +279,7 @@ class BufferPool {
   /// True when plan-driven read-ahead is driven synchronously from the pin
   /// path instead of an async backend (see plan_sync_).
   bool plan_sync_mode() const {
-    std::lock_guard<std::mutex> lock(mu_);
+    auto lock = Latch();
     return plan_sync_;
   }
 
@@ -212,7 +288,7 @@ class BufferPool {
   /// multi-core machines. Call between ConfigurePlanReadAhead (which
   /// recomputes the mode) and BeginPlannedAccess.
   void SetPlanSyncForTest(bool sync) {
-    std::lock_guard<std::mutex> lock(mu_);
+    auto lock = Latch();
     plan_sync_ = sync;
   }
 
@@ -220,22 +296,26 @@ class BufferPool {
   size_t pinned_pages() const;
   /// Race-free snapshot of the pool counters. Drops batched by the
   /// lock-free gate fast path but not yet folded under mu_ are added so
-  /// `prefetch_gated` never under-reports.
+  /// `prefetch_gated` never under-reports. The snapshot's own latch
+  /// acquisition is included in `latch_acquisitions`.
   PoolStats stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
+    auto lock = Latch();
     PoolStats snapshot = stats_;
     snapshot.prefetch_gated += gate_fast_drops_.load(std::memory_order_relaxed);
+    snapshot.latch_acquisitions = latch_acquisitions_;
     return snapshot;
   }
   void ResetStats() {
-    std::lock_guard<std::mutex> lock(mu_);
+    auto lock = Latch();
     stats_ = PoolStats{};
+    latch_acquisitions_ = 0;
     gate_fast_drops_.store(0, std::memory_order_relaxed);
   }
   DiskManager* disk() const { return disk_; }
 
  private:
   friend class PageGuard;
+  friend class PageRun;
 
   /// Minimum prefetch headroom (free + unconsumed prefetched frames) for a
   /// hint to be worth enqueueing.
@@ -312,7 +392,24 @@ class BufferPool {
     PageId consume_pos = 0;
   };
 
+  /// Acquires mu_ and counts the acquisition. Every latch acquisition goes
+  /// through here.
+  std::unique_lock<std::mutex> Latch() const {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++latch_acquisitions_;
+    return lock;
+  }
+
   // All private helpers below require mu_ to be held by the caller.
+  /// Pin's body: pins `page` and returns its frame. Pool-hit metric
+  /// increments are added to *metric_hits instead of the counter, so a run
+  /// can publish them in one Add.
+  Result<int32_t> PinFrameLocked(std::unique_lock<std::mutex>& lock,
+                                 FileId file, PageId page,
+                                 int64_t* metric_hits);
+  void UnpinLocked(int32_t frame_index);
+  /// Unpins a held run's frames in ascending page order (one latch).
+  void UnpinRun(const std::vector<int32_t>& frames);
   Result<int32_t> FindVictim();
   int32_t FindPrefetchVictim();
   /// Submits read chunks round-robin across plan streams until the
@@ -354,7 +451,7 @@ class BufferPool {
 
   void Unpin(int32_t frame_index);
   void SetDirty(int32_t frame_index) {
-    std::lock_guard<std::mutex> lock(mu_);
+    auto lock = Latch();
     frames_[frame_index].dirty = true;
   }
   std::byte* FrameData(int32_t frame_index) {
@@ -385,6 +482,7 @@ class BufferPool {
   Counter* misses_counter_ = nullptr;
   Counter* evictions_counter_ = nullptr;
   mutable std::mutex mu_;
+  mutable int64_t latch_acquisitions_ = 0;  // under mu_
   std::vector<Frame> frames_;
   std::vector<int32_t> free_frames_;
   std::list<int32_t> lru_;  // front = least recently used, unpinned only
@@ -396,6 +494,7 @@ class BufferPool {
   // be held while calling into the backend's Submit, never the reverse.
   std::unique_ptr<AsyncReader> async_reader_;
   AsyncBackendKind plan_backend_ = AsyncBackendKind::kOff;  // resolved
+  AsyncBackendKind plan_requested_ = AsyncBackendKind::kOff;  // unresolved
   /// Drive plans synchronously from the pin path instead of spawning an
   /// async backend. Chosen by ConfigurePlanReadAhead for kAuto on hosts
   /// with a single hardware thread: there a backend thread cannot overlap

@@ -60,6 +60,7 @@ struct PoolStats {
   int64_t prefetch_hits = 0;      // pins satisfied by a read-ahead frame
   int64_t prefetch_wasted = 0;    // read-ahead frames evicted unused
   int64_t prefetch_gated = 0;     // hints dropped by the pool's gates
+  int64_t latch_acquisitions = 0;  // acquisitions of the pool mutex
 
   PoolStats operator-(const PoolStats& other) const {
     return PoolStats{hits - other.hits,
@@ -69,7 +70,8 @@ struct PoolStats {
                      writeback_batches - other.writeback_batches,
                      prefetch_hits - other.prefetch_hits,
                      prefetch_wasted - other.prefetch_wasted,
-                     prefetch_gated - other.prefetch_gated};
+                     prefetch_gated - other.prefetch_gated,
+                     latch_acquisitions - other.latch_acquisitions};
   }
 };
 

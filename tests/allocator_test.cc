@@ -424,5 +424,87 @@ TEST(AllocatorWindows, PeakWindowWithinPartitionBound) {
   EXPECT_GT(result.num_tables, 0);
 }
 
+// ------------------------------------------------------------------------
+// Allocator::Run applies its I/O pipeline knobs to the pool only for the
+// duration of the run, and restores the previous settings on every return
+// path.
+
+struct PoolIoSettings {
+  int read_ahead_pages;
+  bool batched_writeback;
+  BufferPool::PlanReadAheadConfig plan;
+  bool plan_sync;
+
+  static PoolIoSettings Of(const BufferPool& pool) {
+    return {pool.read_ahead_pages(), pool.batched_writeback(),
+            pool.plan_read_ahead_config(), pool.plan_sync_mode()};
+  }
+  bool operator==(const PoolIoSettings& o) const {
+    return read_ahead_pages == o.read_ahead_pages &&
+           batched_writeback == o.batched_writeback && plan == o.plan &&
+           plan_sync == o.plan_sync;
+  }
+};
+
+TEST(AllocatorIoSettings, RestoredAfterSuccessfulRun) {
+  IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema, MakeAutomotiveSchema());
+  for (const bool customized : {false, true}) {
+    StorageEnv env(MakeTempDir(), 16);
+    if (customized) {
+      env.pool().ConfigureReadAhead(3);
+      env.pool().set_batched_writeback(false);
+      env.pool().ConfigurePlanReadAhead(AsyncBackendKind::kPread, 2);
+    }
+    const PoolIoSettings before = PoolIoSettings::Of(env.pool());
+    DatasetSpec spec;
+    spec.num_facts = 2000;
+    spec.seed = 4;
+    IOLAP_ASSERT_OK_AND_ASSIGN(auto facts, GenerateFacts(env, schema, spec));
+    AllocationOptions options;
+    options.algorithm = AlgorithmKind::kBlock;
+    options.max_iterations = 2;
+    ASSERT_NE(options.io.read_ahead_pages, before.read_ahead_pages);
+    IOLAP_ASSERT_OK_AND_ASSIGN(AllocationResult result,
+                               Allocator::Run(env, schema, &facts, options));
+    EXPECT_GT(result.edb.size(), 0);
+    EXPECT_TRUE(PoolIoSettings::Of(env.pool()) == before)
+        << "customized " << customized;
+  }
+}
+
+TEST(AllocatorIoSettings, RestoredAfterFailedRun) {
+  IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema, MakeAutomotiveSchema());
+  int failed_runs = 0;
+  // Failure points in preprocessing, in the planned EM iterations, and past
+  // the end of the run.
+  for (const int failure_point : {50, 500, 100000}) {
+    StorageEnv env(MakeTempDir(), 16);
+    const PoolIoSettings before = PoolIoSettings::Of(env.pool());
+    DatasetSpec spec;
+    spec.num_facts = 2000;
+    spec.seed = 4;
+    IOLAP_ASSERT_OK_AND_ASSIGN(auto facts, GenerateFacts(env, schema, spec));
+    IOLAP_ASSERT_OK(env.pool().FlushAll());
+    int countdown = failure_point;
+    env.disk().SetFaultInjector([&countdown](char, FileId, PageId) {
+      return --countdown <= 0 ? Status::IoError("injected fault")
+                              : Status::Ok();
+    });
+    AllocationOptions options;
+    options.algorithm = AlgorithmKind::kBlock;
+    Result<AllocationResult> result =
+        Allocator::Run(env, schema, &facts, options);
+    env.disk().SetFaultInjector(nullptr);
+    if (!result.ok()) {
+      ++failed_runs;
+      EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+    }
+    EXPECT_TRUE(PoolIoSettings::Of(env.pool()) == before)
+        << "failure point " << failure_point;
+    IOLAP_EXPECT_OK(env.pool().FlushAll());
+  }
+  EXPECT_GE(failed_runs, 2);
+}
+
 }  // namespace
 }  // namespace iolap

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include "common/result.h"
+#include "storage/access_plan.h"
 #include "tests/test_util.h"
 
 namespace iolap {
@@ -401,6 +405,269 @@ TEST_F(BufferPoolTest, LruOrderIsRecencyBased) {
   EXPECT_EQ(pool.stats().hits, 1);
   { IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, 1)); (void)g; }
   EXPECT_EQ(pool.stats().misses, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Page runs (BufferPool::PinRun).
+
+/// True when every byte sampled from `data` is the fill byte
+/// NewFileWithPages wrote for `page`.
+bool PageHolds(const std::byte* data, PageId page) {
+  const std::byte want{static_cast<unsigned char>(page)};
+  return data[0] == want && data[kPageSize / 2] == want &&
+         data[kPageSize - 1] == want;
+}
+
+TEST_F(BufferPoolTest, RunMatchesPerPagePinsInCountersAndEvictions) {
+  FileId f = NewFileWithPages(48);
+  struct Outcome {
+    PoolStats scan;
+    IoStats scan_io;
+    std::vector<bool> probe_hits;
+  };
+  // One pool: pages 0..13 warm with page 15 prefetched among them, then
+  // pages [10, 18) scanned as one run or one page at a time (4 hits, one
+  // consumed prefetch, three misses of which two evict), then a probe that
+  // forces more evictions and records, newest page first, which pins
+  // still hit.
+  auto drive = [&](bool as_run) {
+    Outcome out;
+    BufferPool pool(&disk_, 16);
+    pool.ConfigureReadAhead(8);
+    auto touch = [&](PageId p) {
+      auto g = pool.Pin(f, p);
+      EXPECT_TRUE(g.ok());
+    };
+    for (PageId p = 0; p < 10; ++p) touch(p);
+    pool.Prefetch(f, 15, 1);
+    pool.DrainPrefetches();
+    for (PageId p = 10; p < 14; ++p) touch(p);
+    const PoolStats before = pool.stats();
+    const IoStats io_before = disk_.stats();
+    if (as_run) {
+      auto run = pool.PinRun(f, 10, 8);
+      EXPECT_TRUE(run.ok());
+      EXPECT_TRUE(run->held());
+      for (int64_t i = 0; i < run->size(); ++i) {
+        auto page = run->Page(i);
+        EXPECT_TRUE(page.ok());
+        EXPECT_TRUE(PageHolds(*page, 10 + i));
+      }
+    } else {
+      for (PageId p = 10; p < 18; ++p) touch(p);
+    }
+    out.scan = pool.stats() - before;
+    out.scan_io = disk_.stats() - io_before;
+    for (PageId p = 30; p < 40; ++p) touch(p);
+    for (PageId p = 17; p >= 0; --p) {
+      const int64_t hits = pool.stats().hits;
+      touch(p);
+      out.probe_hits.push_back(pool.stats().hits > hits);
+    }
+    return out;
+  };
+  const Outcome per_page = drive(false);
+  const Outcome run = drive(true);
+  EXPECT_EQ(run.scan.hits, 4);
+  EXPECT_EQ(run.scan.prefetch_hits, 1);
+  EXPECT_EQ(run.scan.misses, 3);
+  EXPECT_EQ(run.scan.evictions, 2);
+  EXPECT_EQ(run.scan.hits, per_page.scan.hits);
+  EXPECT_EQ(run.scan.misses, per_page.scan.misses);
+  EXPECT_EQ(run.scan.prefetch_hits, per_page.scan.prefetch_hits);
+  EXPECT_EQ(run.scan.prefetch_wasted, per_page.scan.prefetch_wasted);
+  EXPECT_EQ(run.scan.evictions, per_page.scan.evictions);
+  EXPECT_EQ(run.scan_io, per_page.scan_io);
+  // Same LRU afterwards: the probe's evictions pick the same victims.
+  EXPECT_EQ(run.probe_hits, per_page.probe_hits);
+  // The run released its pages in ascending order, so the probe's ten new
+  // pages evicted warm pages 2..9 and then run pages 10 and 11: pages
+  // 17..12 still hit.
+  const std::vector<bool> want = {true,  true,  true,  true,  true,  true,
+                                  false, false, false, false, false, false,
+                                  false, false, false, false, false, false};
+  EXPECT_EQ(run.probe_hits, want);
+}
+
+TEST_F(BufferPoolTest, RunChargesPrefetchedFrameOneDemandRead) {
+  FileId f = NewFileWithPages(8);
+  BufferPool pool(&disk_, 32);
+  pool.ConfigureReadAhead(8);
+  pool.Prefetch(f, 2, 2);
+  pool.DrainPrefetches();
+  disk_.ResetStats();
+  for (int pass = 0; pass < 2; ++pass) {
+    IOLAP_ASSERT_OK_AND_ASSIGN(PageRun run, pool.PinRun(f, 0, 8));
+    ASSERT_TRUE(run.held());
+    for (int64_t i = 0; i < run.size(); ++i) {
+      IOLAP_ASSERT_OK_AND_ASSIGN(const std::byte* page, run.Page(i));
+      EXPECT_TRUE(PageHolds(page, i));
+    }
+  }
+  // Pass 1: six misses plus the two prefetched frames, each charged once
+  // as a demand read. Pass 2: eight hits, no new charge.
+  EXPECT_EQ(disk_.stats().page_reads, 8);
+  EXPECT_EQ(disk_.stats().prefetch_reads, 0);
+  EXPECT_EQ(pool.stats().prefetch_hits, 2);
+  EXPECT_EQ(pool.stats().misses, 6);
+  EXPECT_EQ(pool.stats().hits, 8);
+}
+
+TEST_F(BufferPoolTest, RunTakesTwoLatchAcquisitions) {
+  FileId f = NewFileWithPages(8);
+  BufferPool pool(&disk_, 32);
+  { IOLAP_ASSERT_OK_AND_ASSIGN(PageRun run, pool.PinRun(f, 0, 8)); }
+  // Warm: pin + release of the run, plus the second stats() snapshot.
+  int64_t before = pool.stats().latch_acquisitions;
+  { IOLAP_ASSERT_OK_AND_ASSIGN(PageRun run, pool.PinRun(f, 0, 8)); }
+  EXPECT_EQ(pool.stats().latch_acquisitions - before, 3);
+  // One page at a time: a pin and an unpin per page.
+  before = pool.stats().latch_acquisitions;
+  for (PageId p = 0; p < 8; ++p) {
+    IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, p));
+  }
+  EXPECT_EQ(pool.stats().latch_acquisitions - before, 17);
+}
+
+TEST_F(BufferPoolTest, RunDegradesWhenPoolCannotHoldIt) {
+  FileId f = NewFileWithPages(40);
+  BufferPool pool(&disk_, 16);
+  // Longer than half the pool: degraded even with every frame free.
+  {
+    IOLAP_ASSERT_OK_AND_ASSIGN(PageRun run, pool.PinRun(f, 0, 9));
+    EXPECT_FALSE(run.held());
+    for (int64_t i = 0; i < run.size(); ++i) {
+      IOLAP_ASSERT_OK_AND_ASSIGN(const std::byte* page, run.Page(i));
+      EXPECT_TRUE(PageHolds(page, i));
+      EXPECT_EQ(pool.pinned_pages(), 1u);  // one page at a time
+    }
+  }
+  EXPECT_EQ(pool.pinned_pages(), 0u);
+  // 14 of 16 frames pinned elsewhere: a single-page scan still fits in the
+  // two free frames, so the run must too.
+  std::vector<PageGuard> others;
+  for (PageId p = 20; p < 34; ++p) {
+    IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, p));
+    others.push_back(std::move(g));
+  }
+  IOLAP_ASSERT_OK_AND_ASSIGN(PageRun run, pool.PinRun(f, 0, 4));
+  EXPECT_FALSE(run.held());
+  for (int64_t i = 0; i < run.size(); ++i) {
+    IOLAP_ASSERT_OK_AND_ASSIGN(const std::byte* page, run.Page(i));
+    EXPECT_TRUE(PageHolds(page, i));
+  }
+}
+
+TEST_F(BufferPoolTest, RunDegradesToPinWhileAPlanIsActive) {
+  FileId f = NewFileWithPages(16);
+  BufferPool pool(&disk_, 64);
+  pool.ConfigureReadAhead(4);
+  pool.ConfigurePlanReadAhead(AsyncBackendKind::kPread, 2);
+  AccessPlan plan;
+  plan.AddRange(f, 0, 16);
+  {
+    BufferPool::PlannedAccess planned = pool.BeginPlannedAccess(plan);
+    ASSERT_TRUE(planned.active());
+    IOLAP_ASSERT_OK_AND_ASSIGN(PageRun run, pool.PinRun(f, 0, 16));
+    EXPECT_FALSE(run.held());
+    for (int64_t i = 0; i < run.size(); ++i) {
+      IOLAP_ASSERT_OK_AND_ASSIGN(const std::byte* page, run.Page(i));
+      EXPECT_TRUE(PageHolds(page, i));
+    }
+  }
+  IOLAP_ASSERT_OK_AND_ASSIGN(PageRun run, pool.PinRun(f, 0, 16));
+  EXPECT_TRUE(run.held());
+}
+
+TEST_F(BufferPoolTest, ConcurrentRunsNeverExhaustSmallPool) {
+  // Four threads scan 49-page chunks (and shorter runs that fit) through a
+  // 16-page pool. A page-at-a-time scan needs one frame per thread, so a
+  // run must never fail where that would succeed.
+  constexpr int kChunk = 49;
+  FileId f = NewFileWithPages(4 * kChunk);
+  BufferPool pool(&disk_, 16);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      const int64_t run_pages = t == 0 ? kChunk : t;  // 49, 1, 2, 3
+      for (int pass = 0; pass < 3; ++pass) {
+        for (PageId first = 0; first < 4 * kChunk; first += run_pages) {
+          const int64_t n = std::min<int64_t>(run_pages, 4 * kChunk - first);
+          auto run = pool.PinRun(f, first, n);
+          if (!run.ok()) {
+            ++failures;
+            continue;
+          }
+          for (int64_t i = 0; i < n; ++i) {
+            auto page = run->Page(i);
+            if (!page.ok() || !PageHolds(*page, first + i)) ++failures;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(pool.pinned_pages(), 0u);
+}
+
+TEST_F(BufferPoolTest, ConcurrentRunsPinsAndEvictFileRace) {
+  // Runs, single-page pins and EvictFile race on one pool (TSan covers
+  // this). Readers always see the right bytes; EvictFile of the shared
+  // file may only fail because a page is pinned, and EvictFile of a file
+  // no other thread pins always succeeds.
+  FileId a = NewFileWithPages(48);
+  FileId b = NewFileWithPages(8);
+  BufferPool pool(&disk_, 64);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 2000; ++i) {
+        const PageId first = (i * 7 + t * 13) % 40;
+        auto run = pool.PinRun(a, first, 8);
+        if (!run.ok()) {
+          ++failures;
+          continue;
+        }
+        for (int64_t k = 0; k < 8; ++k) {
+          auto page = run->Page(k);
+          if (!page.ok() || !PageHolds(*page, first + k)) ++failures;
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int i = 0; i < 4000; ++i) {
+      const PageId p = (i * 11) % 48;
+      auto g = pool.Pin(a, p);
+      if (!g.ok() || !PageHolds(g->data(), p)) ++failures;
+    }
+  });
+  threads.emplace_back([&] {
+    for (int i = 0; i < 1000; ++i) {
+      {
+        auto run = pool.PinRun(b, 0, 4);
+        if (!run.ok()) {
+          ++failures;
+        } else {
+          for (int64_t k = 0; k < 4; ++k) {
+            auto page = run->Page(k);
+            if (!page.ok() || !PageHolds(*page, k)) ++failures;
+          }
+        }
+      }
+      if (!pool.EvictFile(b).ok()) ++failures;
+      const Status shared = pool.EvictFile(a);
+      if (!shared.ok() && shared.code() != StatusCode::kFailedPrecondition) {
+        ++failures;
+      }
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(pool.pinned_pages(), 0u);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -335,6 +337,116 @@ TEST_F(ColumnarServeTest, AggIndexBuildsFromColumnarMirror) {
   }
   ASSERT_NE(service.agg_index(), nullptr);
   EXPECT_GE(service.agg_index()->stats().builds, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Page runs under a pool smaller than the EDB: scans miss inside runs, and
+// the row path, the columnar path and the serial QueryEngine still agree.
+
+TEST(PageRunServeTest, RowColumnarAndSerialAgreeWithPoolSmallerThanEdb) {
+  constexpr int64_t kPoolPages = 32;
+  StorageEnv env(MakeTempDir(), kPoolPages);
+  IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema, MakeAutomotiveSchema());
+  DatasetSpec spec;
+  spec.num_facts = 5000;
+  spec.seed = 9;
+  IOLAP_ASSERT_OK_AND_ASSIGN(auto file, GenerateFacts(env, schema, spec));
+  AllocationOptions options;
+  IOLAP_ASSERT_OK_AND_ASSIGN(
+      auto manager, MaintenanceManager::Build(env, schema, &file, options));
+  ASSERT_GT(manager->edb().size_in_pages(), 2 * kPoolPages);
+
+  struct Probe {
+    QueryRegion region;
+    AggregateFunc func;
+    int dim = -1;  // >= 0: a rollup of this dimension at `level`
+    int level = 0;
+  };
+  std::vector<Probe> probes;
+  for (AggregateFunc func : kAllFuncs) {
+    probes.push_back({QueryRegion::All(), func});
+  }
+  for (int d = 0; d < schema.num_dims(); ++d) {
+    const std::vector<NodeId>& nodes = schema.dim(d).nodes_at_level(1);
+    for (size_t i = 0; i < std::min<size_t>(nodes.size(), 4); ++i) {
+      probes.push_back(
+          {QueryRegion::All().With(d, nodes[i]), AggregateFunc::kSum});
+    }
+    probes.push_back({QueryRegion::All(), AggregateFunc::kAverage, d, 1});
+  }
+  auto run_probes =
+      [&](QueryService& service) -> Result<std::vector<AggregateResult>> {
+    std::vector<AggregateResult> out;
+    for (const Probe& p : probes) {
+      if (p.dim < 0) {
+        IOLAP_ASSIGN_OR_RETURN(AggregateResult r,
+                               service.UncachedAggregate(p.region, p.func));
+        out.push_back(r);
+      } else {
+        IOLAP_ASSIGN_OR_RETURN(
+            std::vector<AggregateResult> groups,
+            service.UncachedRollUp(p.region, p.dim, p.level, p.func));
+        out.insert(out.end(), groups.begin(), groups.end());
+      }
+    }
+    return out;
+  };
+
+  QueryEngine engine(&env, &schema, &manager->edb());
+  std::vector<AggregateResult> oracle;
+  for (const Probe& p : probes) {
+    if (p.dim < 0) {
+      IOLAP_ASSERT_OK_AND_ASSIGN(AggregateResult r,
+                                 engine.Aggregate(p.region, p.func));
+      oracle.push_back(r);
+    } else {
+      IOLAP_ASSERT_OK_AND_ASSIGN(
+          std::vector<AggregateResult> groups,
+          engine.RollUp(p.region, p.dim, p.level, p.func));
+      oracle.insert(oracle.end(), groups.begin(), groups.end());
+    }
+  }
+
+  std::vector<AggregateResult> baseline;
+  const PoolStats pool_before = env.pool().stats();
+  for (const EdbFormat format : {EdbFormat::kRow, EdbFormat::kColumnar}) {
+    for (const int num_shards : {1, 8}) {
+      for (const int num_threads : {1, 4}) {
+        ServeOptions opts;
+        opts.num_threads = num_threads;
+        opts.num_shards = num_shards;
+        opts.cache_slots = 0;
+        opts.edb_format = format;
+        opts.columnar_rows_per_extent = 1024;
+        // Chunks of 3 pages: small enough for runs to be held while four
+        // workers pin concurrently, many enough that the scan misses.
+        opts.min_partition_rows = 3 * TypedFile<EdbRecord>::kRecordsPerPage;
+        QueryService service(manager.get(), opts);
+        ASSERT_EQ(service.columnar_active(), format == EdbFormat::kColumnar);
+        IOLAP_ASSERT_OK_AND_ASSIGN(std::vector<AggregateResult> got,
+                                   run_probes(service));
+        ASSERT_EQ(got.size(), oracle.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_NEAR(got[i].value, oracle[i].value,
+                      1e-9 * std::max(1.0, std::abs(oracle[i].value)))
+              << "probe " << i << " columnar "
+              << (format == EdbFormat::kColumnar) << " shards " << num_shards
+              << " threads " << num_threads;
+        }
+        if (baseline.empty()) {
+          baseline = std::move(got);
+          continue;
+        }
+        ASSERT_EQ(0, std::memcmp(baseline.data(), got.data(),
+                                 baseline.size() * sizeof(AggregateResult)))
+            << "answers not byte-identical: columnar "
+            << (format == EdbFormat::kColumnar) << " shards " << num_shards
+            << " threads " << num_threads;
+      }
+    }
+  }
+  // The EDB and its mirror outgrow the pool, so the scans above missed.
+  EXPECT_GT((env.pool().stats() - pool_before).misses, 0);
 }
 
 }  // namespace

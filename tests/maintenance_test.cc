@@ -115,6 +115,31 @@ TEST(MaintenanceTest, BuildExposesDirectoryAndRtree) {
   EXPECT_EQ(rows, manager->edb().size());
 }
 
+TEST(MaintenanceTest, BuildReportsPhasesThatPartitionItsDiskTraffic) {
+  StorageEnv env(MakeTempDir(), 32);
+  IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema, MakeAutomotiveSchema());
+  DatasetSpec spec;
+  spec.num_facts = 3000;
+  spec.seed = 6;
+  IOLAP_ASSERT_OK_AND_ASSIGN(auto facts, GenerateFacts(env, schema, spec));
+  AllocationOptions options;
+  const IoStats before = env.disk().stats();
+  IOLAP_ASSERT_OK_AND_ASSIGN(
+      auto manager, MaintenanceManager::Build(env, schema, &facts, options));
+  const IoStats build_io = env.disk().stats() - before;
+  const AllocationResult& r = manager->build_result();
+  EXPECT_GT(r.prep_seconds, 0);
+  EXPECT_GT(r.alloc_seconds, 0);
+  EXPECT_GT(r.emit_seconds, 0);
+  EXPECT_GT(r.prep_io.total(), 0);
+  EXPECT_GT(r.alloc_io.total(), 0);
+  EXPECT_GT(r.emit_io.total(), 0);
+  IoStats phases = r.prep_io;
+  phases += r.alloc_io;
+  phases += r.emit_io;
+  EXPECT_EQ(phases, build_io);
+}
+
 TEST(MaintenanceTest, PreciseMeasureUpdateCountPolicy) {
   IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema, MakePaperExampleSchema());
   StorageEnv tmp(MakeTempDir(), 32);

@@ -6,14 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "alloc/allocator.h"
 #include "common/result.h"
+#include "common/rng.h"
 #include "datagen/generator.h"
 #include "datagen/table2.h"
 #include "edb/maintenance.h"
 #include "edb/query.h"
+#include "exec/thread_pool.h"
+#include "serve/groupby.h"
 #include "serve/workload.h"
 #include "tests/test_util.h"
 
@@ -741,6 +745,60 @@ TEST_F(WorkloadParseTest, RejectsMalformedLines) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ParseTraceOp(schema_, "compact now", &op).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Pool-latch cost of the row scan: each chunk pins its pages as one run, so
+// a warm scan takes two latch acquisitions per chunk, not two per page.
+
+TEST(ServeGroupByLatchTest, WarmRowAggregateTakesTwoLatchesPerChunk) {
+  StorageEnv env(MakeTempDir(), 1024);
+  IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema, MakePaperExampleSchema());
+  IOLAP_ASSERT_OK_AND_ASSIGN(auto edb,
+                             TypedFile<EdbRecord>::Create(env.disk(), "edb"));
+  {
+    auto appender = edb.MakeAppender(env.pool());
+    Rng rng(5);
+    for (int64_t i = 0; i < 200 * TypedFile<EdbRecord>::kRecordsPerPage; ++i) {
+      EdbRecord rec{};
+      rec.fact_id = i;
+      rec.weight = rng.NextDouble() + 1e-6;
+      rec.measure = rng.NextDouble() * 100;
+      for (int d = 0; d < schema.num_dims(); ++d) {
+        rec.leaf[d] = static_cast<int32_t>(
+            rng.Uniform(static_cast<uint64_t>(schema.dim(d).num_leaves())));
+      }
+      IOLAP_ASSERT_OK(appender.Append(rec));
+    }
+    appender.Close();
+  }
+  const int64_t pages = edb.size_in_pages();
+  ThreadPool workers(4);
+  GroupByEngine engine(&env, &schema, &edb, &workers, GroupByOptions{});
+  const std::vector<RowRange> ranges = {{0, edb.size()}};
+  GroupByStats stats;
+  IOLAP_ASSERT_OK_AND_ASSIGN(
+      AggregateResult warm,
+      engine.Aggregate(ranges, QueryRegion::All(), AggregateFunc::kSum,
+                       &stats));
+  const int64_t before = env.pool().stats().latch_acquisitions;
+  stats = GroupByStats{};
+  IOLAP_ASSERT_OK_AND_ASSIGN(
+      AggregateResult got,
+      engine.Aggregate(ranges, QueryRegion::All(), AggregateFunc::kSum,
+                       &stats));
+  const int64_t latches = env.pool().stats().latch_acquisitions - before;
+  ASSERT_GT(stats.chunks, 1);
+  ASSERT_GE(pages, 10 * stats.chunks);  // page-at-a-time would take ~2*pages
+  EXPECT_LE(latches, 2 * stats.chunks + 8)
+      << pages << " pages in " << stats.chunks << " chunks";
+  EXPECT_EQ(stats.rows_scanned, edb.size());
+  EXPECT_EQ(warm.value, got.value);
+  QueryEngine oracle(&env, &schema, &edb);
+  IOLAP_ASSERT_OK_AND_ASSIGN(
+      AggregateResult want,
+      oracle.Aggregate(QueryRegion::All(), AggregateFunc::kSum));
+  EXPECT_NEAR(got.value, want.value, 1e-9 * std::abs(want.value));
 }
 
 }  // namespace
