@@ -14,7 +14,10 @@
 # compiles out under TSan, so this covers the pread pool + the buffer
 # pool's plan bookkeeping racing demand pins), and the columnar serve path
 # (columnar_serve_test; worker threads pin page runs of the mirror and of
-# the row EDB against a pool smaller than the EDB).
+# the row EDB against a pool smaller than the EDB), and the maintenance
+# change hand-off (synopsis_test, maintenance_mutations_test; one netted
+# per-leaf delta span per mutation call fans out to the aggregate index and
+# the synopsis store, each behind its own mutex).
 # Zero reported races is a release gate for the parallel execution and
 # serving subsystems.
 #
@@ -29,10 +32,10 @@ cmake --build "$BUILD" --target \
   buffer_pool_test disk_manager_test thread_pool_test async_io_test \
   parallel_transitive_test external_sort_test io_pipeline_equivalence_test \
   obs_test serve_test serve_concurrent_test aggidx_test aggidx_concurrent_test \
-  columnar_serve_test
+  columnar_serve_test synopsis_test maintenance_mutations_test
 
 export TSAN_OPTIONS="halt_on_error=0:exitcode=66:${TSAN_OPTIONS:-}"
 ctest --test-dir "$BUILD" --output-on-failure \
-  -R 'BufferPool|DiskManager|ThreadPool|ParallelScheduler|ParallelTransitive|ExternalSort|IoPipeline|AsyncIo|PlannedPool|AsyncBackend|Metrics|Trace|Obs|ScopedObservability|JsonUtil|Serve|SelectiveInvalidation|AggIdx|AggIndex' \
+  -R 'BufferPool|DiskManager|ThreadPool|ParallelScheduler|ParallelTransitive|ExternalSort|IoPipeline|AsyncIo|PlannedPool|AsyncBackend|Metrics|Trace|Obs|ScopedObservability|JsonUtil|Serve|SelectiveInvalidation|AggIdx|AggIndex|Synopsis|Maintenance|Mutations' \
   "$@"
 echo "TSan run clean."

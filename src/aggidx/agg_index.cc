@@ -16,14 +16,8 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Canonical (dimension-0-major) three-way comparison of cell keys. Leaf
-/// ids are non-negative, but compare as signed ints — never memcmp, which
-/// would order little-endian byte images, not values.
-int CompareKeys(const int32_t* a, const int32_t* b) {
-  for (int d = 0; d < kMaxDims; ++d) {
-    if (a[d] != b[d]) return a[d] < b[d] ? -1 : 1;
-  }
-  return 0;
+bool SameKey(const int32_t* a, const int32_t* b) {
+  return std::equal(a, a + kMaxDims, b);
 }
 
 int64_t MarginalKey(int dim, NodeId node) {
@@ -475,136 +469,173 @@ Result<std::vector<AggregateResult>> AggIndex::RollUp(
   return groups;
 }
 
-void AggIndex::OnAdd(const EdbRecord& rec) {
+void AggIndex::OnDeltas(std::span<const EdbLeafDelta> deltas) {
   std::lock_guard<std::mutex> lock(mu_);
-  LeafKey key{};
-  std::memcpy(key.data(), rec.leaf, sizeof(rec.leaf));
-  CellDelta& d = pending_[key];
-  d.dsum += rec.weight * rec.measure;
-  d.dcount += rec.weight;
-  if (!d.has_add) {
-    d.add_min = rec.measure;
-    d.add_max = rec.measure;
-    d.has_add = true;
-  } else {
-    d.add_min = std::min(d.add_min, rec.measure);
-    d.add_max = std::max(d.add_max, rec.measure);
+  if (pending_.empty()) {
+    pending_.assign(deltas.begin(), deltas.end());
+    return;
   }
+  // Several mutation calls before one commit: merge the two key-sorted
+  // runs, folding the deltas of a leaf present in both.
+  std::vector<EdbLeafDelta> merged;
+  merged.reserve(pending_.size() + deltas.size());
+  size_t i = 0, j = 0;
+  while (i < pending_.size() || j < deltas.size()) {
+    if (j == deltas.size() ||
+        (i < pending_.size() &&
+         LeafKeyLess(pending_[i].leaf, deltas[j].leaf))) {
+      merged.push_back(pending_[i++]);
+    } else if (i == pending_.size() ||
+               LeafKeyLess(deltas[j].leaf, pending_[i].leaf)) {
+      merged.push_back(deltas[j++]);
+    } else {
+      merged.push_back(pending_[i++]);
+      merged.back().Merge(deltas[j++]);
+    }
+  }
+  pending_ = std::move(merged);
 }
 
-void AggIndex::OnRemove(const EdbRecord& rec) {
-  std::lock_guard<std::mutex> lock(mu_);
-  LeafKey key{};
-  std::memcpy(key.data(), rec.leaf, sizeof(rec.leaf));
-  CellDelta& d = pending_[key];
-  d.dsum -= rec.weight * rec.measure;
-  d.dcount -= rec.weight;
-  d.removed = true;
+void AggIndex::EntryDelta::Add(const EdbLeafDelta& d) {
+  dsum += d.dwv;
+  dcount += d.dw;
+  // Min/max only ever widen, and only from pure additions — a batch that
+  // removed rows marks dirty rects instead (handled by Commit).
+  if (d.added() && !d.removed) {
+    widen_min = std::min(widen_min, d.add_min);
+    widen_max = std::max(widen_max, d.add_max);
+  }
+  any = true;
 }
 
-Status AggIndex::PatchCellLocked(const LeafKey& key, const CellDelta& delta,
-                                 bool* found) {
-  *found = false;
-  if (root_ < 0) return Status::Ok();
+void AggIndex::EntryDelta::Add(const EntryDelta& other) {
+  dsum += other.dsum;
+  dcount += other.dcount;
+  widen_min = std::min(widen_min, other.widen_min);
+  widen_max = std::max(widen_max, other.widen_max);
+  any = any || other.any;
+}
 
-  // Descend by canonical key: entries are key-sorted and partition the
-  // sorted cell sequence into contiguous runs, so at every node the only
-  // candidate is the last entry whose key <= the target's.
-  struct Loc {
-    int64_t page;
-    int32_t slot;
-  };
-  Loc path[16];
-  int depth = 0;
-  int64_t page = root_;
-  for (;;) {
-    ++stats_.nodes_read;
-    if (nodes_read_counter_ != nullptr) nodes_read_counter_->Add(1);
-    IOLAP_ASSIGN_OR_RETURN(PageGuard guard, env_->pool().Pin(file_, page));
-    AggIndexNodeHeader header;
-    std::memcpy(&header, guard.data(), sizeof(header));
-    int32_t candidate = -1;
-    AggIndexEntry e;
-    for (int32_t i = 0; i < header.num_entries; ++i) {
-      AggIndexEntry cur;
-      std::memcpy(&cur, guard.data() + sizeof(header) + i * sizeof(cur),
-                  sizeof(cur));
-      if (CompareKeys(cur.key, key.data()) > 0) break;
-      candidate = i;
-      e = cur;
+void AggIndex::EntryDelta::ApplyTo(AggIndexEntry* e) const {
+  e->sum += dsum;
+  e->count += dcount;
+  e->min = std::min(e->min, widen_min);
+  e->max = std::max(e->max, widen_max);
+}
+
+Status AggIndex::PatchTreeLocked(int64_t page, size_t lo, size_t hi,
+                                 int depth, std::vector<char>* found,
+                                 EntryDelta* out, int64_t* pages_pinned) {
+  if (depth == 16) {
+    return Status::Internal("aggidx tree deeper than any packed layout");
+  }
+  ++stats_.nodes_read;
+  if (nodes_read_counter_ != nullptr) nodes_read_counter_->Add(1);
+  ++*pages_pinned;
+  IOLAP_ASSIGN_OR_RETURN(PageGuard guard, env_->pool().Pin(file_, page));
+  AggIndexNodeHeader header;
+  std::memcpy(&header, guard.data(), sizeof(header));
+  if (header.num_entries < 0 || header.num_entries > kAggIndexEntriesPerPage) {
+    return Status::Internal("aggidx node entry count out of range");
+  }
+  std::byte* slots = guard.data() + sizeof(header);
+  AggIndexEntry entries[kAggIndexEntriesPerPage];
+  std::memcpy(entries, slots, header.num_entries * sizeof(AggIndexEntry));
+
+  // Entries are key-sorted and partition the sorted cell sequence into
+  // contiguous runs, so entry i owns the deltas keyed in
+  // [key_i, key_{i+1}); deltas keyed before key_0 are not in the tree.
+  bool dirty = false;
+  size_t next = lo;
+  for (int32_t i = 0; i < header.num_entries && next < hi; ++i) {
+    AggIndexEntry& e = entries[i];
+    while (next < hi && LeafKeyLess(pending_[next].leaf, e.key)) ++next;
+    size_t end = hi;
+    if (i + 1 < header.num_entries) {
+      end = next;
+      while (end < hi && LeafKeyLess(pending_[end].leaf, entries[i + 1].key)) {
+        ++end;
+      }
     }
-    if (candidate < 0) return Status::Ok();  // key precedes the whole tree
-    if (depth == 16) {
-      return Status::Internal("aggidx tree deeper than any packed layout");
-    }
-    path[depth++] = Loc{page, candidate};
+    if (end == next) continue;
+    EntryDelta run;
     if (header.level == 0) {
-      if (CompareKeys(e.key, key.data()) != 0) return Status::Ok();
-      break;
+      // A leaf entry is one cell: only an exact key match is in the tree.
+      if (SameKey(pending_[next].leaf, e.key)) {
+        run.Add(pending_[next]);
+        (*found)[next] = 1;
+      }
+    } else {
+      IOLAP_RETURN_IF_ERROR(PatchTreeLocked(e.child, next, end, depth + 1,
+                                            found, &run, pages_pinned));
     }
-    page = e.child;
+    next = end;
+    if (!run.any) continue;
+    run.ApplyTo(&e);
+    std::memcpy(slots + i * sizeof(AggIndexEntry), &e, sizeof(e));
+    dirty = true;
+    out->Add(run);
   }
-
-  // Patch the partials along the whole root-to-leaf path. Additive partials
-  // (sum, count) take the delta exactly; min/max only ever widen, and only
-  // from pure additions — a batch that removed rows marks dirty rects
-  // instead (handled by Commit).
-  for (int i = 0; i < depth; ++i) {
-    IOLAP_ASSIGN_OR_RETURN(PageGuard guard,
-                           env_->pool().Pin(file_, path[i].page));
-    AggIndexEntry e;
-    std::byte* slot = guard.data() + sizeof(AggIndexNodeHeader) +
-                      path[i].slot * sizeof(AggIndexEntry);
-    std::memcpy(&e, slot, sizeof(e));
-    e.sum += delta.dsum;
-    e.count += delta.dcount;
-    if (delta.has_add && !delta.removed) {
-      e.min = std::min(e.min, delta.add_min);
-      e.max = std::max(e.max, delta.add_max);
-    }
-    std::memcpy(slot, &e, sizeof(e));
-    guard.MarkDirty();
-  }
-  ++stats_.cells_patched;
-  if (patched_counter_ != nullptr) patched_counter_->Add(1);
-  *found = true;
+  if (dirty) guard.MarkDirty();
   return Status::Ok();
 }
 
-Status AggIndex::PatchMarginalsLocked(const LeafKey& key,
-                                      const CellDelta& delta) {
-  // Mirror of the tree patch for every marginal entry covering the cell:
-  // one per (dimension, ancestor level). Only called for cells the packed
-  // tree knows, so every covering marginal exists by construction.
+Status AggIndex::PatchMarginalsLocked(const std::vector<char>& found,
+                                      int64_t* pages_pinned) {
+  // Mirror of the tree patch for the marginal entries: sum the found
+  // cells' deltas per (dimension, covering node), then patch each entry
+  // once, pinning each marginal page once. Only cells the packed tree knows
+  // count, so every covering marginal exists by construction.
+  struct Patch {
+    int64_t page;
+    int32_t slot;
+    EntryDelta delta;
+  };
+  std::vector<Patch> patches;
   const int k = schema_->num_dims();
   for (int d = 0; d < k; ++d) {
     const Hierarchy& h = schema_->dim(d);
-    const auto& leaves = h.nodes_at_level(1);
-    if (key[d] < 0 || key[d] >= static_cast<int32_t>(leaves.size())) {
-      return Status::Internal("aggidx cell key outside the leaf domain");
+    std::vector<EntryDelta> per_node(h.num_nodes());
+    std::vector<NodeId> touched;
+    for (size_t i = 0; i < pending_.size(); ++i) {
+      if (!found[i]) continue;
+      const int32_t leaf = pending_[i].leaf[d];
+      if (leaf < 0 || leaf >= h.num_leaves()) {
+        return Status::Internal("aggidx cell key outside the leaf domain");
+      }
+      for (NodeId n = h.leaf_node(leaf);; n = h.parent(n)) {
+        if (!per_node[n].any) touched.push_back(n);
+        per_node[n].Add(pending_[i]);
+        if (n == h.root()) break;
+      }
     }
-    const NodeId leaf = leaves[key[d]];
-    for (int level = 1; level <= h.num_levels(); ++level) {
-      const NodeId anc = h.AncestorAtLevel(leaf, level);
-      auto it = marginal_dir_.find(MarginalKey(d, anc));
+    for (NodeId n : touched) {
+      auto it = marginal_dir_.find(MarginalKey(d, n));
       if (it == marginal_dir_.end()) {
         return Status::Internal("aggidx marginal missing for a tree cell");
       }
-      IOLAP_ASSIGN_OR_RETURN(PageGuard guard,
-                             env_->pool().Pin(file_, it->second.first));
+      patches.push_back(Patch{it->second.first, it->second.second,
+                              per_node[n]});
+    }
+  }
+  std::sort(patches.begin(), patches.end(),
+            [](const Patch& a, const Patch& b) {
+              return a.page != b.page ? a.page < b.page : a.slot < b.slot;
+            });
+  for (size_t i = 0; i < patches.size();) {
+    ++*pages_pinned;
+    IOLAP_ASSIGN_OR_RETURN(PageGuard guard,
+                           env_->pool().Pin(file_, patches[i].page));
+    const int64_t page = patches[i].page;
+    for (; i < patches.size() && patches[i].page == page; ++i) {
       std::byte* slot = guard.data() + sizeof(AggIndexNodeHeader) +
-                        it->second.second * sizeof(AggIndexEntry);
+                        patches[i].slot * sizeof(AggIndexEntry);
       AggIndexEntry e;
       std::memcpy(&e, slot, sizeof(e));
-      e.sum += delta.dsum;
-      e.count += delta.dcount;
-      if (delta.has_add && !delta.removed) {
-        e.min = std::min(e.min, delta.add_min);
-        e.max = std::max(e.max, delta.add_max);
-      }
+      patches[i].delta.ApplyTo(&e);
       std::memcpy(slot, &e, sizeof(e));
-      guard.MarkDirty();
     }
+    guard.MarkDirty();
   }
   return Status::Ok();
 }
@@ -617,41 +648,59 @@ Status AggIndex::Commit(const Rect* touched, size_t n) {
     pending_.clear();
     return Status::Ok();
   }
-  bool any_removed = false;
-  for (const auto& [key, delta] : pending_) {
-    any_removed |= delta.removed;
-    bool found = false;
-    Status s = PatchCellLocked(key, delta, &found);
-    if (s.ok() && found) s = PatchMarginalsLocked(key, delta);
+  TraceSpan span("aggidx.commit");
+  // One ordered pass over the key-sorted deltas: the tree, then the
+  // marginals of every cell the tree holds.
+  std::vector<char> found(pending_.size(), 0);
+  int64_t pages_pinned = 0;
+  if (root_ >= 0 && !pending_.empty()) {
+    EntryDelta total;
+    Status s = PatchTreeLocked(root_, 0, pending_.size(), /*depth=*/0, &found,
+                               &total, &pages_pinned);
+    if (s.ok()) s = PatchMarginalsLocked(found, &pages_pinned);
     if (!s.ok()) {
       InvalidateLocked();
       return s;
     }
-    if (found) continue;
+  }
+  int64_t patched = 0;
+  bool any_removed = false;
+  for (size_t i = 0; i < pending_.size(); ++i) {
+    const EdbLeafDelta& delta = pending_[i];
+    any_removed |= delta.removed;
+    if (found[i]) {
+      ++patched;
+      continue;
+    }
     // Cell not in the packed tree: merge into the overlay. (A removal for
     // an unknown cell can only be the counterpart of earlier overlay
     // additions; the residue stays in the overlay and the dirty rects
     // below cover its min/max.)
+    LeafKey key{};
+    std::memcpy(key.data(), delta.leaf, sizeof(delta.leaf));
     auto [it, inserted] = overlay_.try_emplace(key);
     Partials& p = it->second;
     if (inserted) {
       p.min = kInf;
       p.max = -kInf;
     }
-    p.sum += delta.dsum;
-    p.count += delta.dcount;
-    if (delta.has_add && !delta.removed) {
-      p.min = std::min(p.min, delta.add_min);
-      p.max = std::max(p.max, delta.add_max);
-    } else if (delta.removed) {
+    p.sum += delta.dwv;
+    p.count += delta.dw;
+    if (delta.removed) {
       // The overlay cell's extremes can no longer be trusted; widen them so
       // only the dirty-rect rebuild path answers min/max here.
       p.min = kInf;
       p.max = -kInf;
-      any_removed = true;
+    } else if (delta.added()) {
+      p.min = std::min(p.min, delta.add_min);
+      p.max = std::max(p.max, delta.add_max);
     }
   }
   pending_.clear();
+  stats_.cells_patched += patched;
+  if (patched_counter_ != nullptr) patched_counter_->Add(patched);
+  span.AddArg("cells_patched", patched);
+  span.AddArg("pages_pinned", pages_pinned);
 
   if (any_removed) {
     dirty_minmax_.insert(dirty_minmax_.end(), touched, touched + n);
@@ -695,6 +744,38 @@ AggIndex::Stats AggIndex::stats() const {
   s.overlay_cells = static_cast<int64_t>(overlay_.size());
   s.dirty_boxes = static_cast<int64_t>(dirty_minmax_.size());
   return s;
+}
+
+Result<AggIndex::Contents> AggIndex::Snapshot() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  Contents out;
+  out.ready = built_ && !stale_;
+  for (int64_t page = 0; built_ && page < num_pages_; ++page) {
+    IOLAP_ASSIGN_OR_RETURN(PageGuard guard, env_->pool().Pin(file_, page));
+    AggIndexNodeHeader header;
+    std::memcpy(&header, guard.data(), sizeof(header));
+    if (header.num_entries < 0 ||
+        header.num_entries > kAggIndexEntriesPerPage) {
+      return Status::Internal("aggidx node entry count out of range");
+    }
+    Contents::Page& p = out.pages.emplace_back();
+    p.id = page;
+    p.level = header.level;
+    p.entries.resize(header.num_entries);
+    std::memcpy(p.entries.data(), guard.data() + sizeof(header),
+                header.num_entries * sizeof(AggIndexEntry));
+  }
+  for (const auto& [key, partials] : overlay_) {
+    AggIndexEntry& e = out.overlay.emplace_back();
+    std::memcpy(e.key, key.data(), sizeof(e.key));
+    for (int d = 0; d < kMaxDims; ++d) e.bbox.lo[d] = e.bbox.hi[d] = key[d];
+    e.sum = partials.sum;
+    e.count = partials.count;
+    e.min = partials.min;
+    e.max = partials.max;
+  }
+  out.dirty_minmax = dirty_minmax_;
+  return out;
 }
 
 }  // namespace iolap

@@ -4,9 +4,11 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -92,10 +94,12 @@ struct AggIndexOptions {
 /// allocation path's demand I/O.
 ///
 /// Incremental maintenance: installed as the MaintenanceManager's
-/// EdbChangeListener, it folds row-level changes into per-cell deltas and
-/// `Commit` patches sum/count (and monotone min/max growth) in place along
-/// each cell's root-to-leaf path and through every marginal entry covering
-/// the cell. Removals are non-subtractive for min/max,
+/// EdbChangeListener, it buffers the per-leaf deltas of the in-flight batch
+/// and `Commit` patches sum/count (and monotone min/max growth) in place in
+/// one key-ordered pass: each touched tree page is pinned once and each
+/// internal entry takes the summed delta of its touched cells once, then
+/// each covering marginal entry takes its summed delta once. Removals are
+/// non-subtractive for min/max,
 /// so the batch's `MaintenanceStats::touched_boxes` are recorded as dirty
 /// rects instead — the next MIN/MAX query intersecting one lazily rebuilds
 /// the tree from a single EDB pass. Cells first seen after the build live
@@ -146,10 +150,9 @@ class AggIndex : public EdbChangeListener {
                                               int dim, int level,
                                               AggregateFunc func);
 
-  // EdbChangeListener: buffers row-level changes of the in-flight
-  // maintenance batch as per-cell deltas (applied only by Commit).
-  void OnAdd(const EdbRecord& rec) override;
-  void OnRemove(const EdbRecord& rec) override;
+  // EdbChangeListener: buffers the in-flight maintenance batch's per-cell
+  // deltas (applied only by Commit).
+  void OnDeltas(std::span<const EdbLeafDelta> deltas) override;
 
   /// Folds the buffered deltas into the index after a successful batch.
   /// `touched` / `n` is the batch's MaintenanceStats::touched_boxes slice;
@@ -187,6 +190,23 @@ class AggIndex : public EdbChangeListener {
 
   Stats stats() const;
 
+  /// Introspection for tests and tools: every node page of the last build
+  /// as stored now (tree pages at level >= 0, marginal pages at
+  /// kAggIndexMarginalLevel), the overlay cells as leaf entries, and the
+  /// dirty min/max rects.
+  struct Contents {
+    struct Page {
+      int64_t id = 0;
+      int32_t level = 0;
+      std::vector<AggIndexEntry> entries;
+    };
+    bool ready = false;  // built and not stale
+    std::vector<Page> pages;
+    std::vector<AggIndexEntry> overlay;
+    std::vector<Rect> dirty_minmax;
+  };
+  Result<Contents> Snapshot() const;
+
  private:
   struct Partials {
     double sum = 0;
@@ -194,13 +214,18 @@ class AggIndex : public EdbChangeListener {
     double min = 0;
     double max = 0;
   };
-  struct CellDelta {
+  /// Summed effect of a run of cell deltas on one entry: additive parts,
+  /// plus the min/max widening of the cells that only gained rows.
+  struct EntryDelta {
     double dsum = 0;
     double dcount = 0;
-    double add_min = 0;  // valid iff has_add
-    double add_max = 0;
-    bool has_add = false;
-    bool removed = false;
+    double widen_min = std::numeric_limits<double>::infinity();
+    double widen_max = -std::numeric_limits<double>::infinity();
+    bool any = false;  // at least one cell of the run was found
+
+    void Add(const EdbLeafDelta& d);
+    void Add(const EntryDelta& other);
+    void ApplyTo(AggIndexEntry* e) const;
   };
   using LeafKey = std::array<int32_t, kMaxDims>;
 
@@ -215,9 +240,14 @@ class AggIndex : public EdbChangeListener {
   Status QueryRectLocked(const Rect& query, AggregateResult* acc);
   bool MarginalNodeForRect(const Rect& query, int* dim, NodeId* node) const;
   bool IntersectsDirtyLocked(const Rect& query) const;
-  Status PatchCellLocked(const LeafKey& key, const CellDelta& delta,
-                         bool* found);
-  Status PatchMarginalsLocked(const LeafKey& key, const CellDelta& delta);
+  /// Patches the subtree at `page` with pending_[lo, hi): every entry
+  /// whose run holds found cells takes their summed delta once, `found`
+  /// marks the cells the tree holds, and `out` returns the page's sum.
+  Status PatchTreeLocked(int64_t page, size_t lo, size_t hi, int depth,
+                         std::vector<char>* found, EntryDelta* out,
+                         int64_t* pages_pinned);
+  Status PatchMarginalsLocked(const std::vector<char>& found,
+                              int64_t* pages_pinned);
   void InvalidateLocked();
 
   StorageEnv* env_;
@@ -235,7 +265,8 @@ class AggIndex : public EdbChangeListener {
   std::function<std::shared_ptr<const ColumnarEdb>()> columnar_provider_;
   std::map<LeafKey, Partials> overlay_;  // cells added after the build
   std::vector<Rect> dirty_minmax_;       // regions with stale min/max
-  std::map<LeafKey, CellDelta> pending_;  // in-flight batch deltas
+  /// In-flight batch deltas, one per leaf, sorted by LeafKeyLess.
+  std::vector<EdbLeafDelta> pending_;
   /// (dim << 32 | NodeId) -> (page, slot) of the node's marginal entry.
   std::unordered_map<int64_t, std::pair<int64_t, int32_t>> marginal_dir_;
   Stats stats_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "model/sort_key.h"
 
@@ -20,42 +19,68 @@ void MemoryAllocator::BuildEdges() {
   if (cells_.empty() || entries_.empty()) return;
 
   SpecComparator cmp(schema_, SortSpec::Canonical(*schema_));
-  // The sweep below needs cells in canonical order; callers (Transitive
+  // Edge lists index the cells in canonical order; callers (Transitive
   // components are sorted, but maintenance hands in merged segment lists
   // and freshly created cells) may not guarantee it.
   std::sort(cells_.begin(), cells_.end(),
             [&](const CellRecord& a, const CellRecord& b) {
               return cmp.CellLess(a, b);
             });
-  // Process entries in region-start order against the sorted cells; a
-  // window of "open" entries bounds the work per cell.
-  std::vector<int32_t> order(entries_.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
-    return cmp.EntryLess(entries_[a], entries_[b]);
-  });
 
-  std::vector<int32_t> open;
-  size_t next = 0;
-  for (size_t ci = 0; ci < cells_.size(); ++ci) {
-    const CellRecord& cell = cells_[ci];
-    open.erase(std::remove_if(open.begin(), open.end(),
-                              [&](int32_t e) {
-                                return cmp.CompareRegionEndToCell(
-                                           entries_[e], cell) < 0;
-                              }),
-               open.end());
-    while (next < order.size() &&
-           cmp.CompareRegionStartToCell(entries_[order[next]], cell) <= 0) {
-      open.push_back(order[next]);
-      ++next;
+  // Indexed join: every hierarchy node covers a contiguous leaf range, so
+  // the cells an entry can cover on dimension d are one run of the cells
+  // ordered by leaf[d]. by_dim[d] holds (leaf[d] << 32 | cell index),
+  // sorted; two binary searches per dimension find each run, and only the
+  // narrowest run is walked with the full containment test (RegionCovers
+  // against the entry's per-dimension leaf ranges, over a packed copy of
+  // the cells' leaves).
+  const int k = schema_->num_dims();
+  const size_t n = cells_.size();
+  std::vector<int32_t> leaves(n * k);
+  for (size_t ci = 0; ci < n; ++ci) {
+    std::copy(cells_[ci].leaf, cells_[ci].leaf + k, &leaves[ci * k]);
+  }
+  std::vector<std::vector<uint64_t>> by_dim(k);
+  for (int d = 0; d < k; ++d) {
+    std::vector<uint64_t>& keys = by_dim[d];
+    keys.resize(n);
+    for (size_t ci = 0; ci < n; ++ci) {
+      keys[ci] = (static_cast<uint64_t>(leaves[ci * k + d]) << 32) | ci;
     }
-    for (int32_t e : open) {
-      if (RegionCovers(*schema_, entries_[e].node, cell.leaf)) {
-        edges_[e].push_back(static_cast<int32_t>(ci));
-        ++num_edges_;
+    std::sort(keys.begin(), keys.end());
+  }
+  for (size_t e = 0; e < entries_.size(); ++e) {
+    int32_t lo[kMaxDims];
+    int32_t hi[kMaxDims];
+    const uint64_t* best_begin = nullptr;
+    const uint64_t* best_end = nullptr;
+    for (int d = 0; d < k; ++d) {
+      const Hierarchy& h = schema_->dim(d);
+      lo[d] = h.leaf_begin(entries_[e].node[d]);
+      hi[d] = h.leaf_end(entries_[e].node[d]);
+      const uint64_t* first = by_dim[d].data();
+      const uint64_t* last = first + n;
+      const uint64_t* b =
+          std::lower_bound(first, last, static_cast<uint64_t>(lo[d]) << 32);
+      const uint64_t* t =
+          std::lower_bound(b, last, static_cast<uint64_t>(hi[d]) << 32);
+      if (best_begin == nullptr || t - b < best_end - best_begin) {
+        best_begin = b;
+        best_end = t;
       }
     }
+    std::vector<int32_t>& list = edges_[e];
+    for (const uint64_t* it = best_begin; it != best_end; ++it) {
+      const auto ci = static_cast<int32_t>(*it & 0xffffffffu);
+      const int32_t* leaf = &leaves[static_cast<size_t>(ci) * k];
+      bool covered = true;
+      for (int d = 0; d < k && covered; ++d) {
+        covered = leaf[d] >= lo[d] && leaf[d] < hi[d];
+      }
+      if (covered) list.push_back(ci);
+    }
+    std::sort(list.begin(), list.end());
+    num_edges_ += static_cast<int64_t>(list.size());
   }
 }
 

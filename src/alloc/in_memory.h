@@ -54,7 +54,8 @@ class MemoryAllocator {
   const std::vector<CellRecord>& cells() const { return cells_; }
   const std::vector<ImpreciseRecord>& entries() const { return entries_; }
   int64_t num_edges() const { return num_edges_; }
-  /// edges()[e] lists the indexes of the cells entry `e` overlaps.
+  /// edges()[e] lists, in ascending order, the indexes into cells() of the
+  /// cells entry `e` overlaps.
   const std::vector<std::vector<int32_t>>& edges() const { return edges_; }
 
  private:

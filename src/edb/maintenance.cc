@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
+#include <utility>
 
 #include "alloc/in_memory.h"
 #include "alloc/preprocess.h"
@@ -47,7 +49,104 @@ EdbRecord Tombstone() {
   return rec;
 }
 
+/// Runs `f` when the scope ends, on every exit path.
+template <typename F>
+class OnScopeExit {
+ public:
+  explicit OnScopeExit(F f) : f_(std::move(f)) {}
+  ~OnScopeExit() { f_(); }
+  OnScopeExit(const OnScopeExit&) = delete;
+  OnScopeExit& operator=(const OnScopeExit&) = delete;
+
+ private:
+  F f_;
+};
+
+uint64_t HashLeaf(const int32_t* leaf) {
+  uint64_t h = 0;
+  for (int d = 0; d < kMaxDims; ++d) {
+    h = (h ^ static_cast<uint32_t>(leaf[d])) * 0x9e3779b97f4a7c15ull;
+  }
+  return h ^ (h >> 29);
+}
+
 }  // namespace
+
+void EdbLeafDelta::Fold(const EdbRecord& rec, int sign) {
+  const double w = sign * rec.weight;
+  dw += w;
+  dwv += w * rec.measure;
+  dwv2 += w * rec.measure * rec.measure;
+  drows += sign;
+  if (sign > 0) {
+    add_min = std::min(add_min, rec.measure);
+    add_max = std::max(add_max, rec.measure);
+  } else {
+    removed = true;
+  }
+}
+
+void EdbLeafDelta::Merge(const EdbLeafDelta& other) {
+  dw += other.dw;
+  dwv += other.dwv;
+  dwv2 += other.dwv2;
+  drows += other.drows;
+  add_min = std::min(add_min, other.add_min);
+  add_max = std::max(add_max, other.add_max);
+  removed = removed || other.removed;
+}
+
+bool LeafKeyLess(const int32_t* a, const int32_t* b) {
+  for (int d = 0; d < kMaxDims; ++d) {
+    if (a[d] != b[d]) return a[d] < b[d];
+  }
+  return false;
+}
+
+EdbLeafDelta& LeafDeltaTable::At(const int32_t* leaf) {
+  if (2 * (deltas_.size() + 1) > slots_.size()) {
+    // Keep the load factor at most 1/2: double and re-insert.
+    slots_.assign(std::max<size_t>(64, 2 * slots_.size()), -1);
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = 0; i < deltas_.size(); ++i) {
+      size_t s = HashLeaf(deltas_[i].leaf) & mask;
+      while (slots_[s] >= 0) s = (s + 1) & mask;
+      slots_[s] = static_cast<int32_t>(i);
+    }
+  }
+  const size_t mask = slots_.size() - 1;
+  for (size_t s = HashLeaf(leaf) & mask;; s = (s + 1) & mask) {
+    const int32_t i = slots_[s];
+    if (i < 0) {
+      slots_[s] = static_cast<int32_t>(deltas_.size());
+      EdbLeafDelta& fresh = deltas_.emplace_back();
+      std::memcpy(fresh.leaf, leaf, sizeof(fresh.leaf));
+      return fresh;
+    }
+    if (std::memcmp(deltas_[i].leaf, leaf, sizeof(deltas_[i].leaf)) == 0) {
+      return deltas_[i];
+    }
+  }
+}
+
+std::vector<EdbLeafDelta> LeafDeltaTable::TakeSorted() {
+  std::vector<EdbLeafDelta> out = std::move(deltas_);
+  deltas_.clear();
+  std::fill(slots_.begin(), slots_.end(), -1);
+  std::sort(out.begin(), out.end(),
+            [](const EdbLeafDelta& a, const EdbLeafDelta& b) {
+              return LeafKeyLess(a.leaf, b.leaf);
+            });
+  return out;
+}
+
+void MaintenanceManager::PublishDeltas() {
+  if (listener_ == nullptr) return;
+  TraceSpan span("maint.publish_deltas");
+  const std::vector<EdbLeafDelta> deltas = changes_.TakeSorted();
+  span.AddArg("leaves", static_cast<int64_t>(deltas.size()));
+  if (!deltas.empty()) listener_->OnDeltas(deltas);
+}
 
 Result<std::unique_ptr<MaintenanceManager>> MaintenanceManager::Build(
     StorageEnv& env, const StarSchema& schema, TypedFile<FactRecord>* facts,
@@ -274,6 +373,10 @@ Status MaintenanceManager::ReallocateComponent(
   stats->tuples_fetched += static_cast<int64_t>(cells.size() + entries.size());
 
   std::vector<EdbRecord> rows;
+  int64_t num_edges = 0;
+  int iterations = 0;
+  span.AddArg("cells", static_cast<int64_t>(cells.size()));
+  span.AddArg("entries", static_cast<int64_t>(entries.size()));
   if (entries.empty()) {
     // The component dissolved: its cells go back to the loose pool so
     // future imprecise inserts can still find them.
@@ -287,8 +390,10 @@ Status MaintenanceManager::ReallocateComponent(
   } else {
     // ---- Re-allocate from scratch and collect the rows.
     MemoryAllocator ma(schema_, std::move(cells), std::move(entries));
-    ma.Iterate(options_.epsilon, options_.EffectiveMaxIterations(),
-               /*force_all_iterations=*/false);
+    num_edges = ma.num_edges();
+    iterations = ma.Iterate(options_.epsilon,
+                            options_.EffectiveMaxIterations(),
+                            /*force_all_iterations=*/false);
     int64_t unallocatable = 0;
     ma.EmitToVector(&rows, &unallocatable);
 
@@ -322,39 +427,36 @@ Status MaintenanceManager::ReallocateComponent(
     }
   }
 
-  // ---- Report the row turnover before the splice overwrites the old rows
-  // (the scan pins the same pages the Puts below are about to pin).
-  if (listener_ != nullptr) {
-    for (auto [begin, end] : c.edb_ranges) {
-      auto cursor = build_result_.edb.Scan(pool, begin, end);
-      EdbRecord old;
-      while (!cursor.done()) {
-        IOLAP_RETURN_IF_ERROR(cursor.Next(&old));
-        if (old.weight == 0 && old.fact_id == -1) continue;  // tombstone
-        listener_->OnRemove(old);
-      }
-    }
-    for (const EdbRecord& row : rows) listener_->OnAdd(row);
-  }
+  span.AddArg("edges", num_edges);
+  span.AddArg("iterations", iterations);
 
-  // ---- Splice the rows into the component's EDB ranges.
+  // ---- Splice the rows into the component's EDB ranges: new rows fill
+  // each range from its start, tombstones the rest. With a listener, the
+  // cursor nets each old live row out before overwriting it (same pinned
+  // page, so the I/O is the same either way).
   size_t next_row = 0;
   std::vector<std::pair<int64_t, int64_t>> new_ranges;
   for (auto [begin, end] : c.edb_ranges) {
-    int64_t at = begin;
-    while (at < end && next_row < rows.size()) {
-      IOLAP_RETURN_IF_ERROR(
-          build_result_.edb.Put(pool, at, rows[next_row]));
-      ++at;
-      ++next_row;
-      ++stats->edb_rows_rewritten;
+    auto cursor = build_result_.edb.MutableScan(pool, begin, end);
+    int64_t filled = begin;
+    EdbRecord old;
+    while (!cursor.done()) {
+      if (listener_ != nullptr) {
+        IOLAP_RETURN_IF_ERROR(cursor.Read(&old));
+        if (!(old.weight == 0 && old.fact_id == -1)) changes_.Remove(old);
+      }
+      if (next_row < rows.size()) {
+        IOLAP_RETURN_IF_ERROR(cursor.Write(rows[next_row]));
+        ++next_row;
+        ++filled;
+        ++stats->edb_rows_rewritten;
+      } else {
+        IOLAP_RETURN_IF_ERROR(cursor.Write(Tombstone()));
+        ++stats->edb_rows_tombstoned;
+      }
+      cursor.Advance();
     }
-    if (at > begin) new_ranges.push_back({begin, at});
-    while (at < end) {
-      IOLAP_RETURN_IF_ERROR(build_result_.edb.Put(pool, at, Tombstone()));
-      ++at;
-      ++stats->edb_rows_tombstoned;
-    }
+    if (filled > begin) new_ranges.push_back({begin, filled});
   }
   if (next_row < rows.size()) {
     int64_t begin = build_result_.edb.size();
@@ -368,6 +470,9 @@ Status MaintenanceManager::ReallocateComponent(
     new_ranges.push_back({begin, build_result_.edb.size()});
   }
   c.edb_ranges = std::move(new_ranges);
+  if (listener_ != nullptr) {
+    for (const EdbRecord& row : rows) changes_.Add(row);
+  }
   return Status::Ok();
 }
 
@@ -380,11 +485,21 @@ Status MaintenanceManager::ApplyUpdates(const std::vector<FactUpdate>& updates,
   Stopwatch watch;
   IoStats io_before = env_->disk().stats();
 
+  // One fact named twice would add both copies' δ shifts but keep only
+  // the last copy's measure: refuse the batch before changing anything.
   std::unordered_map<FactId, const FactUpdate*> by_id;
+  for (const FactUpdate& u : updates) {
+    if (!by_id.emplace(u.before.fact_id, &u).second) {
+      return Status::InvalidArgument("update batch names fact " +
+                                     std::to_string(u.before.fact_id) +
+                                     " more than once");
+    }
+  }
+  OnScopeExit publish([this] { PublishDeltas(); });
+
   std::map<LeafKey, double> delta_adjust;
   bool any_precise = false;
   for (const FactUpdate& u : updates) {
-    by_id[u.before.fact_id] = &u;
     if (u.before.IsPrecise(k)) {
       any_precise = true;
       if (options_.policy == PolicyKind::kMeasure) {
@@ -472,10 +587,10 @@ Status MaintenanceManager::ApplyUpdates(const std::vector<FactUpdate>& updates,
       IOLAP_RETURN_IF_ERROR(cursor.Read(&rec));
       auto it = by_id.find(rec.fact_id);
       if (it != by_id.end() && it->second->before.IsPrecise(k)) {
-        if (listener_ != nullptr) listener_->OnRemove(rec);
+        if (listener_ != nullptr) changes_.Remove(rec);
         rec.measure = it->second->new_measure;
         IOLAP_RETURN_IF_ERROR(cursor.Write(rec));
-        if (listener_ != nullptr) listener_->OnAdd(rec);
+        if (listener_ != nullptr) changes_.Add(rec);
         ++stats->edb_rows_rewritten;
       }
       cursor.Advance();
@@ -485,11 +600,11 @@ Status MaintenanceManager::ApplyUpdates(const std::vector<FactUpdate>& updates,
       if (it != extra_precise_rows_.end() && u.before.IsPrecise(k)) {
         IOLAP_ASSIGN_OR_RETURN(EdbRecord rec,
                                build_result_.edb.Get(pool, it->second));
-        if (listener_ != nullptr) listener_->OnRemove(rec);
+        if (listener_ != nullptr) changes_.Remove(rec);
         rec.measure = u.new_measure;
         IOLAP_RETURN_IF_ERROR(
             build_result_.edb.Put(pool, it->second, rec));
-        if (listener_ != nullptr) listener_->OnAdd(rec);
+        if (listener_ != nullptr) changes_.Add(rec);
       }
     }
   }
@@ -509,6 +624,7 @@ Status MaintenanceManager::InsertFacts(const std::vector<FactRecord>& inserts,
   Stopwatch watch;
   IoStats io_before = env_->disk().stats();
   stats->inserts_applied += static_cast<int64_t>(inserts.size());
+  OnScopeExit publish([this] { PublishDeltas(); });
 
   std::set<int64_t> affected;
   std::map<LeafKey, double> delta_adjust;
@@ -637,7 +753,7 @@ Status MaintenanceManager::InsertFacts(const std::vector<FactRecord>& inserts,
     std::memcpy(row.leaf, key.data(), sizeof(row.leaf));
     extra_precise_rows_[f.fact_id] = build_result_.edb.size();
     IOLAP_RETURN_IF_ERROR(edb_appender.Append(row));
-    if (listener_ != nullptr) listener_->OnAdd(row);
+    if (listener_ != nullptr) changes_.Add(row);
     ++stats->edb_rows_appended;
 
     stats->touched_boxes.push_back(RegionRect(*schema_, f));
@@ -750,6 +866,7 @@ Status MaintenanceManager::DeleteFacts(const std::vector<FactRecord>& deletes,
   Stopwatch watch;
   IoStats io_before = env_->disk().stats();
   stats->deletes_applied += static_cast<int64_t>(deletes.size());
+  OnScopeExit publish([this] { PublishDeltas(); });
 
   std::set<int64_t> affected;
   std::map<LeafKey, double> delta_adjust;
@@ -800,7 +917,7 @@ Status MaintenanceManager::DeleteFacts(const std::vector<FactRecord>& deletes,
         if (listener_ != nullptr) {
           IOLAP_ASSIGN_OR_RETURN(EdbRecord old,
                                  build_result_.edb.Get(pool, it->second));
-          listener_->OnRemove(old);
+          changes_.Remove(old);
         }
         IOLAP_RETURN_IF_ERROR(
             build_result_.edb.Put(pool, it->second, Tombstone()));
@@ -826,7 +943,7 @@ Status MaintenanceManager::DeleteFacts(const std::vector<FactRecord>& deletes,
       IOLAP_RETURN_IF_ERROR(cursor.Read(&rec));
       if (deleted_precise.count(rec.fact_id) != 0 &&
           !(rec.weight == 0 && rec.fact_id == -1)) {
-        if (listener_ != nullptr) listener_->OnRemove(rec);
+        if (listener_ != nullptr) changes_.Remove(rec);
         IOLAP_RETURN_IF_ERROR(cursor.Write(Tombstone()));
         ++stats->edb_rows_tombstoned;
       }

@@ -1,9 +1,11 @@
 #ifndef IOLAP_EDB_MAINTENANCE_H_
 #define IOLAP_EDB_MAINTENANCE_H_
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -26,19 +28,49 @@ struct FactUpdate {
   double new_measure = 0;
 };
 
-/// Observer of row-level Extended Database changes. The maintenance layer
-/// reports every *live* row it adds (appended or rewritten in place) and
-/// every previously live row it removes (tombstoned or overwritten), so a
-/// derived structure — e.g. the serve layer's aggregate index — can stay
-/// consistent without rescanning. Tombstones themselves are never reported.
-/// Callbacks run inside the mutation batch, before it is known to succeed;
-/// implementations should buffer and only apply on an external commit
-/// signal. CompactEdb is a logical no-op and fires nothing.
+/// The net change of one leaf cell's live Extended Database rows over one
+/// mutation call. Every live row the call added (appended or rewritten in
+/// place) folds in with +, every previously live row it removed
+/// (tombstoned or overwritten) with −; tombstones themselves never count.
+/// A row removed and re-added within the call (an in-place rewrite) nets
+/// out of the sums but still sets `removed`.
+struct EdbLeafDelta {
+  int32_t leaf[kMaxDims] = {};
+  double dw = 0;       // Σ ±weight
+  double dwv = 0;      // Σ ±weight · measure
+  double dwv2 = 0;     // Σ ±weight · measure²
+  int64_t drows = 0;   // rows added − rows removed
+  /// Extremes of the added rows' measures; add_min > add_max (the initial
+  /// +inf / −inf) when the call added no row here.
+  double add_min = std::numeric_limits<double>::infinity();
+  double add_max = -std::numeric_limits<double>::infinity();
+  bool removed = false;  // some live row left this leaf
+
+  bool added() const { return add_min <= add_max; }
+  /// Folds one added (`sign` = +1) or removed (`sign` = −1) row in.
+  void Fold(const EdbRecord& rec, int sign);
+  /// Folds another delta of the same leaf in.
+  void Merge(const EdbLeafDelta& other);
+};
+
+/// Canonical (dimension-0-major) order of leaf keys, compared as signed
+/// ints over all kMaxDims slots (unused dimensions are 0).
+bool LeafKeyLess(const int32_t* a, const int32_t* b);
+
+/// Observer of Extended Database changes, so a derived structure — the
+/// serve layer's aggregate index and synopsis store — can stay consistent
+/// without rescanning. The maintenance layer nets every row change of one
+/// mutation call (ApplyUpdates, InsertFacts, DeleteFacts) per leaf cell and
+/// hands the result over in one OnDeltas call at the end of that call:
+/// one delta per distinct leaf, sorted by LeafKeyLess. A call that changed
+/// no live row makes no OnDeltas call. The hand-off happens before the
+/// batch is known to succeed (a failed call hands over whatever prefix it
+/// applied); implementations should buffer and only apply on an external
+/// commit signal. CompactEdb is a logical no-op and hands over nothing.
 class EdbChangeListener {
  public:
   virtual ~EdbChangeListener() = default;
-  virtual void OnAdd(const EdbRecord& rec) = 0;
-  virtual void OnRemove(const EdbRecord& rec) = 0;
+  virtual void OnDeltas(std::span<const EdbLeafDelta> deltas) = 0;
 };
 
 /// Fans one change stream out to several listeners (the MaintenanceManager
@@ -49,15 +81,29 @@ class EdbChangeFanout : public EdbChangeListener {
  public:
   void Add(EdbChangeListener* listener) { targets_.push_back(listener); }
   bool empty() const { return targets_.empty(); }
-  void OnAdd(const EdbRecord& rec) override {
-    for (EdbChangeListener* t : targets_) t->OnAdd(rec);
-  }
-  void OnRemove(const EdbRecord& rec) override {
-    for (EdbChangeListener* t : targets_) t->OnRemove(rec);
+  void OnDeltas(std::span<const EdbLeafDelta> deltas) override {
+    for (EdbChangeListener* t : targets_) t->OnDeltas(deltas);
   }
 
  private:
   std::vector<EdbChangeListener*> targets_;
+};
+
+/// Nets row changes per leaf cell: a flat open-addressing hash table from
+/// the leaf tuple to its EdbLeafDelta, so folding a row costs one probe.
+class LeafDeltaTable {
+ public:
+  void Add(const EdbRecord& rec) { At(rec.leaf).Fold(rec, +1); }
+  void Remove(const EdbRecord& rec) { At(rec.leaf).Fold(rec, -1); }
+  bool empty() const { return deltas_.empty(); }
+  /// Returns the deltas sorted by LeafKeyLess and empties the table.
+  std::vector<EdbLeafDelta> TakeSorted();
+
+ private:
+  EdbLeafDelta& At(const int32_t* leaf);
+
+  std::vector<EdbLeafDelta> deltas_;
+  std::vector<int32_t> slots_;  // index into deltas_; -1 = empty slot
 };
 
 struct MaintenanceStats {
@@ -154,10 +200,10 @@ class MaintenanceManager {
   PagedRTree& rtree() { return *rtree_; }
   StorageEnv& env() { return *env_; }
 
-  /// Installs (or clears, with nullptr) the row-change listener. With no
-  /// listener the maintenance I/O pattern is exactly as before; with one,
-  /// re-allocation additionally reads each spliced component's old rows
-  /// (pages the splice was about to pin anyway).
+  /// Installs (or clears, with nullptr) the change listener. The
+  /// maintenance I/O pattern is the same with or without one: with one,
+  /// re-allocation also reads each old row of a spliced component, on the
+  /// page the splice has pinned to overwrite it, to net it out.
   void set_change_listener(EdbChangeListener* listener) {
     listener_ = listener;
   }
@@ -177,6 +223,10 @@ class MaintenanceManager {
                              std::vector<CellRecord>* candidate_cells,
                              MaintenanceStats* stats);
 
+  /// Hands the call's netted row changes to the listener (if any) and
+  /// empties the table. Runs on every exit path of a mutation call.
+  void PublishDeltas();
+
   /// Finds a cell in the singleton region of the cells file (binary search
   /// in canonical order); -1 if absent or absorbed.
   Result<int64_t> FindSingletonCell(const LeafKey& key);
@@ -194,6 +244,7 @@ class MaintenanceManager {
   std::vector<MaintComponent> directory_;
   std::unique_ptr<PagedRTree> rtree_;
   EdbChangeListener* listener_ = nullptr;
+  LeafDeltaTable changes_;  // the current call's row changes, by leaf
 
   int64_t singleton_begin_ = 0;      // first singleton cell in the file
   std::vector<CellRecord> loose_cells_;  // cells added after the build

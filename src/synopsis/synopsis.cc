@@ -24,12 +24,17 @@ SynopsisStore::SynopsisStore(StorageEnv* env, const StarSchema* schema,
     : env_(env),
       schema_(schema),
       edb_(edb),
+      dim_offset_(schema->num_dims()),
       builds_counter_(GlobalCounter("synopsis.builds")),
       commits_counter_(GlobalCounter("synopsis.commits")),
       patched_counter_(GlobalCounter("synopsis.entries_patched")),
       estimates_counter_(GlobalCounter("synopsis.estimates")),
       exact_counter_(GlobalCounter("synopsis.exact_answers")),
       entries_gauge_(GlobalGauge("synopsis.entries")) {
+  for (int d = 0; d < schema_->num_dims(); ++d) {
+    dim_offset_[d] = nodes_per_shard_;
+    nodes_per_shard_ += schema_->dim(d).num_nodes();
+  }
   // Default: one shard covering the whole dimension-0 leaf range.
   SetShardBounds({0, schema_->dim(0).num_leaves()});
 }
@@ -48,6 +53,7 @@ void SynopsisStore::SetShardBounds(std::vector<int32_t> begins) {
     }
   }
   pending_.clear();
+  pending_slices_.clear();
   built_ = false;
   stale_ = false;
   stats_.entries = entries;
@@ -105,7 +111,7 @@ Status SynopsisStore::BuildLocked() {
     FoldRowLocked(rec, 1.0);
     ++rows;
   }
-  pending_.clear();
+  ClearPendingLocked();
   built_ = true;
   stale_ = false;
   ++stats_.builds;
@@ -126,43 +132,37 @@ Status SynopsisStore::RebuildIfStale() {
   return BuildLocked();
 }
 
-void SynopsisStore::OnAdd(const EdbRecord& rec) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!built_ || stale_) return;  // a rebuild will see these rows anyway
-  const int shard = ShardOfLeafLocked(rec.leaf[0]);
-  for (int d = 0; d < schema_->num_dims(); ++d) {
-    const Hierarchy& h = schema_->dim(d);
-    NodeId n = h.leaf_node(rec.leaf[d]);
-    while (true) {
-      Delta& delta = pending_[SliceKey{shard, d, n}];
-      delta.dmass += rec.weight;
-      delta.dswv += rec.weight * rec.measure;
-      delta.dswv2 += rec.weight * rec.measure * rec.measure;
-      delta.drows += 1;
-      delta.add_min = std::min(delta.add_min, rec.measure);
-      delta.add_max = std::max(delta.add_max, rec.measure);
-      if (n == h.root()) break;
-      n = h.parent(n);
-    }
+void SynopsisStore::ClearPendingLocked() {
+  for (const SliceRef& r : pending_slices_) {
+    pending_[PendingIndex(r.shard, r.dim, r.node)] = Delta{};
   }
+  pending_slices_.clear();
 }
 
-void SynopsisStore::OnRemove(const EdbRecord& rec) {
+void SynopsisStore::OnDeltas(std::span<const EdbLeafDelta> deltas) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!built_ || stale_) return;
-  const int shard = ShardOfLeafLocked(rec.leaf[0]);
-  for (int d = 0; d < schema_->num_dims(); ++d) {
-    const Hierarchy& h = schema_->dim(d);
-    NodeId n = h.leaf_node(rec.leaf[d]);
-    while (true) {
-      Delta& delta = pending_[SliceKey{shard, d, n}];
-      delta.dmass -= rec.weight;
-      delta.dswv -= rec.weight * rec.measure;
-      delta.dswv2 -= rec.weight * rec.measure * rec.measure;
-      delta.drows -= 1;
-      delta.removed = true;
-      if (n == h.root()) break;
-      n = h.parent(n);
+  if (!built_ || stale_) return;  // a rebuild will see these rows anyway
+  const int shards = static_cast<int>(begins_.size()) - 1;
+  if (pending_.empty()) pending_.resize(shards * nodes_per_shard_);
+  for (const EdbLeafDelta& leaf : deltas) {
+    const int shard = ShardOfLeafLocked(leaf.leaf[0]);
+    for (int d = 0; d < schema_->num_dims(); ++d) {
+      const Hierarchy& h = schema_->dim(d);
+      for (NodeId n = h.leaf_node(leaf.leaf[d]);; n = h.parent(n)) {
+        Delta& delta = pending_[PendingIndex(shard, d, n)];
+        if (!delta.touched) {
+          delta.touched = true;
+          pending_slices_.push_back(SliceRef{shard, d, n});
+        }
+        delta.dmass += leaf.dw;
+        delta.dswv += leaf.dwv;
+        delta.dswv2 += leaf.dwv2;
+        delta.drows += leaf.drows;
+        delta.add_min = std::min(delta.add_min, leaf.add_min);
+        delta.add_max = std::max(delta.add_max, leaf.add_max);
+        delta.removed = delta.removed || leaf.removed;
+        if (n == h.root()) break;
+      }
     }
   }
 }
@@ -170,14 +170,13 @@ void SynopsisStore::OnRemove(const EdbRecord& rec) {
 Status SynopsisStore::Commit() {
   std::lock_guard<std::mutex> lock(mu_);
   if (!built_ || stale_) {
-    pending_.clear();
+    ClearPendingLocked();
     return Status::Ok();
   }
   TraceSpan span("synopsis.commit");
-  int64_t patched = 0;
-  for (const auto& [key, delta] : pending_) {
-    const auto [shard, dim, node] = key;
-    SynopsisMoments& m = SliceLocked(shard, dim, node);
+  for (const SliceRef& r : pending_slices_) {
+    const Delta& delta = pending_[PendingIndex(r.shard, r.dim, r.node)];
+    SynopsisMoments& m = SliceLocked(r.shard, r.dim, r.node);
     m.mass = std::max(m.mass + delta.dmass, 0.0);
     m.swv += delta.dswv;
     m.swv2 = std::max(m.swv2 + delta.dswv2, 0.0);
@@ -193,9 +192,9 @@ Status SynopsisStore::Commit() {
       }
       if (delta.removed) m.minmax_patched = true;
     }
-    ++patched;
   }
-  pending_.clear();
+  const auto patched = static_cast<int64_t>(pending_slices_.size());
+  ClearPendingLocked();
   ++stats_.commits;
   stats_.patched += patched;
   if (commits_counter_ != nullptr) commits_counter_->Add(1);
@@ -206,7 +205,7 @@ Status SynopsisStore::Commit() {
 
 void SynopsisStore::Invalidate() {
   std::lock_guard<std::mutex> lock(mu_);
-  pending_.clear();
+  ClearPendingLocked();
   stale_ = true;
 }
 

@@ -3,9 +3,8 @@
 
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <mutex>
-#include <tuple>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -45,9 +44,10 @@ struct SynopsisMoments {
 /// ShardMap so a query's shard set is identical across tiers.
 ///
 /// Incremental maintenance mirrors the aggregate index: installed as (one
-/// of) the MaintenanceManager's EdbChangeListeners, it folds row changes
-/// into per-slice deltas along each row's root-to-leaf node path on every
-/// dimension, buffered until `Commit` (mutation success) or dropped by
+/// of) the MaintenanceManager's EdbChangeListeners, it folds each leaf's
+/// netted delta into per-slice deltas along the leaf's root-to-leaf node
+/// path on every dimension (one walk per leaf, however many rows changed
+/// there), buffered until `Commit` (mutation success) or dropped by
 /// `Invalidate` (failed batch → stale, rebuilt by `RebuildIfStale`).
 /// Removals patch mass/moments exactly but only mark the extremes; a slice
 /// whose live row count returns to zero resets to the exactly-empty state.
@@ -84,10 +84,9 @@ class SynopsisStore : public EdbChangeListener {
   /// lock) — the pass scans the whole EDB.
   Status RebuildIfStale();
 
-  // EdbChangeListener: buffers the in-flight batch's row changes as
+  // EdbChangeListener: buffers the in-flight batch's leaf deltas as
   // per-slice deltas; no-ops until the store is first built.
-  void OnAdd(const EdbRecord& rec) override;
-  void OnRemove(const EdbRecord& rec) override;
+  void OnDeltas(std::span<const EdbLeafDelta> deltas) override;
 
   /// Folds the buffered deltas in after a successful batch.
   Status Commit();
@@ -122,11 +121,19 @@ class SynopsisStore : public EdbChangeListener {
     double add_min = std::numeric_limits<double>::infinity();
     double add_max = -std::numeric_limits<double>::infinity();
     bool removed = false;
+    bool touched = false;  // listed in pending_slices_
   };
-  // (shard, dim, node) — per-slice pending delta key.
-  using SliceKey = std::tuple<int, int, NodeId>;
+  struct SliceRef {
+    int shard;
+    int dim;
+    NodeId node;
+  };
 
   int ShardOfLeafLocked(int32_t leaf0) const;
+  int64_t PendingIndex(int shard, int dim, NodeId node) const {
+    return shard * nodes_per_shard_ + dim_offset_[dim] + node;
+  }
+  void ClearPendingLocked();
   Status BuildLocked();
   void FoldRowLocked(const EdbRecord& rec, double sign);
   SynopsisMoments& SliceLocked(int shard, int dim, NodeId node);
@@ -140,7 +147,13 @@ class SynopsisStore : public EdbChangeListener {
   std::vector<int32_t> begins_;  // shard partition of dim-0 leaves
   /// slices_[shard][dim][node]; sized at SetShardBounds, filled by Build.
   std::vector<std::vector<std::vector<SynopsisMoments>>> slices_;
-  std::map<SliceKey, Delta> pending_;  // in-flight batch deltas
+  /// In-flight batch deltas, dense over (shard, dim, node) at
+  /// PendingIndex (sized on first use); pending_slices_ lists the slices
+  /// holding one, in first-touch order.
+  std::vector<Delta> pending_;
+  std::vector<SliceRef> pending_slices_;
+  std::vector<int64_t> dim_offset_;  // first pending_ index of each dim
+  int64_t nodes_per_shard_ = 0;
   bool built_ = false;
   bool stale_ = false;
   Stats stats_;

@@ -8,14 +8,21 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+#include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "alloc/allocator.h"
 #include "common/result.h"
+#include "common/rng.h"
 #include "datagen/generator.h"
 #include "datagen/table2.h"
 #include "edb/maintenance.h"
 #include "edb/query.h"
+#include "obs/trace.h"
 #include "serve/query_service.h"
 #include "tests/test_util.h"
 
@@ -430,6 +437,309 @@ TEST_F(AggIndexSelectiveTest, EmptyEdbAnswersEmptyAggregates) {
                                service.Aggregate(QueryRegion::All(), func));
     EXPECT_NEAR(got.value, expected.value, 1e-9);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Index state after a mixed stream: the patched pages themselves, not just
+// the answers they give, must equal what a fresh build of the same EDB
+// writes.
+
+using CellKey = std::array<int32_t, kMaxDims>;
+
+CellKey KeyOf(const int32_t* key) {
+  CellKey k{};
+  std::memcpy(k.data(), key, sizeof(int32_t) * kMaxDims);
+  return k;
+}
+
+/// Compares `index` entry by entry against a fresh build of `edb`:
+///  - every internal entry holds the sum and count of its child page;
+///  - every cell (tree leaf entry or overlay cell) holds the fresh build's
+///    partials, a cell missing on one side holding zero;
+///  - every marginal entry plus the overlay cells under its node holds the
+///    fresh build's marginal;
+///  - min/max of cells outside every dirty rect are exact.
+void ExpectIndexStateMatchesFreshBuild(StorageEnv& env,
+                                       const StarSchema& schema,
+                                       const TypedFile<EdbRecord>& edb,
+                                       const AggIndex& index) {
+  constexpr double kTol = 1e-9;
+  const int k = schema.num_dims();
+  IOLAP_ASSERT_OK_AND_ASSIGN(AggIndex::Contents inc, index.Snapshot());
+  ASSERT_TRUE(inc.ready);
+  AggIndex fresh_index(&env, &schema, &edb);
+  IOLAP_ASSERT_OK(fresh_index.Build());
+  IOLAP_ASSERT_OK_AND_ASSIGN(AggIndex::Contents fresh, fresh_index.Snapshot());
+  ASSERT_TRUE(fresh.overlay.empty());
+
+  std::map<int64_t, const AggIndex::Contents::Page*> by_id;
+  for (const auto& page : inc.pages) by_id[page.id] = &page;
+  for (const auto& page : inc.pages) {
+    if (page.level <= 0) continue;
+    for (const AggIndexEntry& e : page.entries) {
+      ASSERT_EQ(by_id.count(e.child), 1u);
+      double sum = 0, count = 0;
+      for (const AggIndexEntry& c : by_id[e.child]->entries) {
+        sum += c.sum;
+        count += c.count;
+      }
+      EXPECT_NEAR(e.sum, sum, kTol) << "page " << page.id;
+      EXPECT_NEAR(e.count, count, kTol) << "page " << page.id;
+    }
+  }
+
+  using Cells = std::map<CellKey, AggIndexEntry>;
+  using Marginals = std::map<std::pair<int, NodeId>, AggIndexEntry>;
+  auto collect = [](const AggIndex::Contents& c, Cells* cells,
+                    Marginals* marginals) {
+    for (const auto& page : c.pages) {
+      for (const AggIndexEntry& e : page.entries) {
+        if (page.level == 0) (*cells)[KeyOf(e.key)] = e;
+        if (page.level == kAggIndexMarginalLevel) {
+          (*marginals)[{e.key[0], e.key[1]}] = e;
+        }
+      }
+    }
+  };
+  Cells inc_cells, fresh_cells;
+  Marginals inc_marginals, fresh_marginals;
+  collect(inc, &inc_cells, &inc_marginals);
+  collect(fresh, &fresh_cells, &fresh_marginals);
+  for (const AggIndexEntry& e : inc.overlay) {
+    ASSERT_EQ(inc_cells.count(KeyOf(e.key)), 0u) << "cell in tree and overlay";
+    inc_cells[KeyOf(e.key)] = e;
+    for (int d = 0; d < k; ++d) {
+      const Hierarchy& h = schema.dim(d);
+      for (NodeId n = h.leaf_node(e.key[d]);; n = h.parent(n)) {
+        AggIndexEntry& m = inc_marginals[{d, n}];
+        m.sum += e.sum;
+        m.count += e.count;
+        if (n == h.root()) break;
+      }
+    }
+  }
+
+  auto in_dirty = [&](const Rect& box) {
+    for (const Rect& r : inc.dirty_minmax) {
+      if (RectsIntersect(box, r, k)) return true;
+    }
+    return false;
+  };
+  std::set<CellKey> keys;
+  for (const auto& [key, e] : inc_cells) keys.insert(key);
+  for (const auto& [key, e] : fresh_cells) keys.insert(key);
+  for (const CellKey& key : keys) {
+    const AggIndexEntry zero;
+    const auto it = inc_cells.find(key);
+    const auto ft = fresh_cells.find(key);
+    const AggIndexEntry& a = it != inc_cells.end() ? it->second : zero;
+    const AggIndexEntry& b = ft != fresh_cells.end() ? ft->second : zero;
+    EXPECT_NEAR(a.sum, b.sum, kTol) << "cell " << key[0] << "," << key[1];
+    EXPECT_NEAR(a.count, b.count, kTol) << "cell " << key[0] << "," << key[1];
+    if (it != inc_cells.end() && ft != fresh_cells.end() &&
+        !in_dirty(a.bbox)) {
+      EXPECT_DOUBLE_EQ(a.min, b.min) << "cell " << key[0] << "," << key[1];
+      EXPECT_DOUBLE_EQ(a.max, b.max) << "cell " << key[0] << "," << key[1];
+    }
+  }
+  std::set<std::pair<int, NodeId>> nodes;
+  for (const auto& [key, e] : inc_marginals) nodes.insert(key);
+  for (const auto& [key, e] : fresh_marginals) nodes.insert(key);
+  for (const auto& node : nodes) {
+    const AggIndexEntry zero;
+    const auto it = inc_marginals.find(node);
+    const auto ft = fresh_marginals.find(node);
+    const AggIndexEntry& a = it != inc_marginals.end() ? it->second : zero;
+    const AggIndexEntry& b = ft != fresh_marginals.end() ? ft->second : zero;
+    EXPECT_NEAR(a.sum, b.sum, kTol)
+        << "marginal " << node.first << "/" << node.second;
+    EXPECT_NEAR(a.count, b.count, kTol)
+        << "marginal " << node.first << "/" << node.second;
+  }
+}
+
+class AggIndexStateTest : public ::testing::Test {
+ protected:
+  AggIndexStateTest() : env_(MakeTempDir(), 512) {}
+
+  void SetUp() override {
+    // Enough occupied cells for a two-level tree and many marginal pages.
+    std::vector<Hierarchy> dims;
+    IOLAP_ASSERT_OK_AND_ASSIGN(Hierarchy d0,
+                               HierarchyBuilder::Uniform("D0", {4, 5, 5}));
+    IOLAP_ASSERT_OK_AND_ASSIGN(Hierarchy d1,
+                               HierarchyBuilder::Uniform("D1", {3, 4}));
+    dims.push_back(d0);
+    dims.push_back(d1);
+    IOLAP_ASSERT_OK_AND_ASSIGN(schema_, StarSchema::Create(std::move(dims)));
+    DatasetSpec spec;
+    spec.num_facts = 1500;
+    spec.imprecise_fraction = 0.3;
+    spec.seed = 31;
+    IOLAP_ASSERT_OK_AND_ASSIGN(auto gen, GenerateFacts(env_, schema_, spec));
+    {
+      auto cursor = gen.Scan(env_.pool());
+      FactRecord f;
+      while (!cursor.done()) {
+        IOLAP_ASSERT_OK(cursor.Next(&f));
+        facts_.push_back(f);
+      }
+    }
+    AllocationOptions options;
+    options.policy = PolicyKind::kMeasure;
+    IOLAP_ASSERT_OK_AND_ASSIGN(
+        manager_, MaintenanceManager::Build(env_, schema_, &gen, options));
+  }
+
+  /// A random fact: precise, or imprecise on one dimension.
+  FactRecord RandomFact(Rng& rng, FactId id) const {
+    FactRecord f;
+    f.fact_id = id;
+    f.measure = 1.0 + static_cast<double>(rng.Uniform(500));
+    for (int d = 0; d < schema_.num_dims(); ++d) {
+      const Hierarchy& h = schema_.dim(d);
+      f.node[d] = h.leaf_node(static_cast<int32_t>(rng.Uniform(
+          static_cast<uint64_t>(h.num_leaves()))));
+    }
+    if (rng.Uniform(3) == 0) {
+      const int d = static_cast<int>(rng.Uniform(2));
+      f.node[d] = schema_.dim(d).parent(f.node[d]);
+    }
+    for (int d = 0; d < schema_.num_dims(); ++d) {
+      f.level[d] = static_cast<uint8_t>(schema_.dim(d).level(f.node[d]));
+    }
+    return f;
+  }
+
+  StorageEnv env_;
+  StarSchema schema_;
+  std::vector<FactRecord> facts_;
+  std::unique_ptr<MaintenanceManager> manager_;
+};
+
+TEST_F(AggIndexStateTest, PatchedEntriesMatchFreshBuildAfterMixedStream) {
+  ServeOptions opts;
+  opts.cache_slots = 0;
+  opts.agg_index = true;
+  QueryService service(manager_.get(), opts);
+  IOLAP_ASSERT_OK(service.agg_index()->Build());
+  ExpectIndexStateMatchesFreshBuild(env_, schema_, manager_->edb(),
+                                    *service.agg_index());
+
+  Rng rng(4242);
+  FactId next_id = 1'000'000;
+  // Picks `n` distinct catalog positions.
+  auto pick = [&](size_t n) {
+    std::set<size_t> out;
+    while (out.size() < n) out.insert(rng.Uniform(facts_.size()));
+    return out;
+  };
+  for (int step = 0; step < 16; ++step) {
+    switch (rng.Uniform(4)) {
+      case 0: {  // update batch
+        std::vector<FactUpdate> batch;
+        for (size_t i : pick(8)) {
+          batch.push_back(FactUpdate{facts_[i], facts_[i].measure * 2 + 1});
+          facts_[i].measure = batch.back().new_measure;
+        }
+        IOLAP_ASSERT_OK(service.ApplyUpdates(batch));
+        break;
+      }
+      case 1: {  // insert batch
+        std::vector<FactRecord> batch;
+        for (int i = 0; i < 6; ++i) batch.push_back(RandomFact(rng, next_id++));
+        IOLAP_ASSERT_OK(service.InsertFacts(batch));
+        facts_.insert(facts_.end(), batch.begin(), batch.end());
+        break;
+      }
+      case 2: {  // delete batch
+        std::vector<FactRecord> batch;
+        std::set<size_t> victims = pick(5);
+        for (size_t i : victims) batch.push_back(facts_[i]);
+        IOLAP_ASSERT_OK(service.DeleteFacts(batch));
+        for (auto it = victims.rbegin(); it != victims.rend(); ++it) {
+          facts_.erase(facts_.begin() + static_cast<int64_t>(*it));
+        }
+        break;
+      }
+      default:  // compact
+        IOLAP_ASSERT_OK(service.Compact().status());
+        break;
+    }
+    SCOPED_TRACE("step " + std::to_string(step));
+    ExpectIndexStateMatchesFreshBuild(env_, schema_, manager_->edb(),
+                                      *service.agg_index());
+  }
+  EXPECT_GT(service.agg_index()->stats().cells_patched, 0);
+}
+
+TEST_F(AggIndexStateTest, DeltasOfSeveralCallsMergeBeforeOneCommit) {
+  // Driven directly (no serve layer): two mutation calls hand over deltas
+  // on the same leaves before a single commit folds them in.
+  AggIndex index(&env_, &schema_, &manager_->edb());
+  IOLAP_ASSERT_OK(index.Build());
+  manager_->set_change_listener(&index);
+  MaintenanceStats stats;
+  FactRecord fact = facts_[0];
+  for (double bump : {10.0, 25.0}) {
+    IOLAP_ASSERT_OK(
+        manager_->ApplyUpdates({FactUpdate{fact, fact.measure + bump}}, &stats));
+    fact.measure += bump;
+  }
+  Rng rng(17);
+  IOLAP_ASSERT_OK(manager_->InsertFacts({RandomFact(rng, 2'000'000)}, &stats));
+  manager_->set_change_listener(nullptr);
+  IOLAP_ASSERT_OK(
+      index.Commit(stats.touched_boxes.data(), stats.touched_boxes.size()));
+  EXPECT_GT(index.stats().cells_patched, 0);
+  ExpectIndexStateMatchesFreshBuild(env_, schema_, manager_->edb(), index);
+}
+
+/// A traced write shows where its time went: the re-allocation span
+/// carries the component's size and iteration count, and the delta
+/// hand-off and the index commit each get one span per mutation call.
+TEST_F(AggIndexStateTest, TracedWriteReportsPhases) {
+  ServeOptions opts;
+  opts.cache_slots = 0;
+  opts.agg_index = true;
+  QueryService service(manager_.get(), opts);
+  IOLAP_ASSERT_OK(service.agg_index()->Build());
+  IOLAP_ASSERT_OK_AND_ASSIGN(AggIndex::Contents before,
+                             service.agg_index()->Snapshot());
+
+  TraceCollector trace;
+  SetGlobalTrace(&trace);
+  std::vector<FactUpdate> batch;
+  for (size_t i = 0; i < 10; ++i) {
+    batch.push_back(FactUpdate{facts_[i * 97], facts_[i * 97].measure + 5});
+  }
+  const Status applied = service.ApplyUpdates(batch);
+  SetGlobalTrace(nullptr);
+  IOLAP_ASSERT_OK(applied);
+
+  const std::string json = trace.ToChromeJson();
+  auto count = [&](const std::string& needle) {
+    int n = 0;
+    for (size_t at = json.find(needle); at != std::string::npos;
+         at = json.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("\"maint.publish_deltas\""), 1);
+  EXPECT_EQ(count("\"aggidx.commit\""), 1);
+  EXPECT_GE(count("\"maint.reallocate_component\""), 1);
+  for (const char* arg : {"\"cells\":", "\"entries\":", "\"edges\":",
+                          "\"iterations\":", "\"leaves\":",
+                          "\"cells_patched\":", "\"pages_pinned\":"}) {
+    EXPECT_GE(count(arg), 1) << arg;
+  }
+  // Each touched page is pinned once: never more pins than index pages.
+  const size_t at = json.find("\"pages_pinned\":");
+  ASSERT_NE(at, std::string::npos);
+  const int64_t pinned = std::stoll(json.substr(at + 15));
+  EXPECT_GT(pinned, 0);
+  EXPECT_LE(pinned, static_cast<int64_t>(before.pages.size()));
 }
 
 }  // namespace

@@ -6,8 +6,11 @@
 #include <array>
 #include <cmath>
 #include <map>
+#include <set>
+#include <string>
 #include <vector>
 
+#include "alloc/in_memory.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "datagen/generator.h"
@@ -504,6 +507,84 @@ TEST(AllocatorIoSettings, RestoredAfterFailedRun) {
     IOLAP_EXPECT_OK(env.pool().FlushAll());
   }
   EXPECT_GE(failed_runs, 2);
+}
+
+// ------------------------------------------------------------------------
+// The in-memory edge join against an all-pairs containment scan: seeded
+// random components over 2–6 dimensions, regions at every level including
+// ALL. Edge lists must match exactly, cells in ascending order.
+
+TEST(MemoryAllocatorEdges, MatchAllPairsRegionCoversScan) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int k = 2 + trial % 5;
+    std::vector<Hierarchy> dims;
+    for (int d = 0; d < k; ++d) {
+      std::vector<int> fanouts;
+      const int depth = 1 + static_cast<int>(rng.Uniform(3));
+      for (int l = 0; l < depth; ++l) {
+        fanouts.push_back(2 + static_cast<int>(rng.Uniform(3)));
+      }
+      std::string name = "D";
+      name += std::to_string(d);
+      IOLAP_ASSERT_OK_AND_ASSIGN(Hierarchy h,
+                                 HierarchyBuilder::Uniform(name, fanouts));
+      dims.push_back(std::move(h));
+    }
+    IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema,
+                               StarSchema::Create(std::move(dims)));
+
+    // Distinct cells, in generation (not canonical) order.
+    std::set<CellKey> seen;
+    std::vector<CellRecord> cells;
+    const int want = 1 + static_cast<int>(rng.Uniform(300));
+    for (int attempt = 0;
+         attempt < 4 * want && static_cast<int>(cells.size()) < want;
+         ++attempt) {
+      CellRecord c;
+      CellKey key{};
+      for (int d = 0; d < k; ++d) {
+        c.leaf[d] = static_cast<int32_t>(
+            rng.Uniform(static_cast<uint64_t>(schema.dim(d).num_leaves())));
+        key[d] = c.leaf[d];
+      }
+      if (seen.insert(key).second) cells.push_back(c);
+    }
+    std::vector<ImpreciseRecord> entries;
+    const int num_entries = 1 + static_cast<int>(rng.Uniform(120));
+    for (int i = 0; i < num_entries; ++i) {
+      ImpreciseRecord e;
+      e.fact_id = i;
+      e.measure = 1;
+      for (int d = 0; d < k; ++d) {
+        const Hierarchy& h = schema.dim(d);
+        // Entry 0 is ALL everywhere; the rest draw any level, ALL included.
+        const int level =
+            i == 0 ? h.num_levels()
+                   : 1 + static_cast<int>(rng.Uniform(h.num_levels()));
+        const std::vector<NodeId>& nodes = h.nodes_at_level(level);
+        e.node[d] = nodes[rng.Uniform(nodes.size())];
+        e.level[d] = static_cast<uint8_t>(level);
+      }
+      entries.push_back(e);
+    }
+
+    MemoryAllocator ma(&schema, cells, entries);
+    ASSERT_EQ(ma.edges().size(), entries.size());
+    int64_t total = 0;
+    for (size_t e = 0; e < entries.size(); ++e) {
+      std::vector<int32_t> expected;
+      for (size_t c = 0; c < ma.cells().size(); ++c) {
+        if (RegionCovers(schema, ma.entries()[e].node, ma.cells()[c].leaf)) {
+          expected.push_back(static_cast<int32_t>(c));
+        }
+      }
+      EXPECT_EQ(ma.edges()[e], expected) << "trial " << trial << " entry " << e;
+      total += static_cast<int64_t>(expected.size());
+    }
+    EXPECT_EQ(ma.edges()[0].size(), ma.cells().size());  // ALL covers all
+    EXPECT_EQ(ma.num_edges(), total) << "trial " << trial;
+  }
 }
 
 }  // namespace

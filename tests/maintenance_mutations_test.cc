@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <map>
+#include <set>
+#include <span>
 
 #include "common/result.h"
 #include "common/rng.h"
@@ -487,6 +489,186 @@ TEST_F(MutationsTest, TouchedBoxesAreSoundAndTight) {
     EXPECT_NEAR(it->second.first, wm.first, 1e-12);
     EXPECT_NEAR(it->second.second, wm.second, 1e-12);
   }
+}
+
+TEST_F(MutationsTest, ApplyUpdatesRejectsDuplicateFactIds) {
+  // Two updates of one fact in one batch would shift δ by both copies'
+  // measure changes but rewrite the rows with only the last: refused
+  // before anything changes.
+  StorageEnv scratch(MakeTempDir(), 32);
+  std::vector<FactRecord> facts = PaperFacts(scratch);
+  StorageEnv env(MakeTempDir(), 256);
+  auto manager = BuildManager(env, facts);
+  ASSERT_TRUE(facts[0].IsPrecise(schema_.num_dims()));
+
+  const EdbMap before = LoadLiveEdb(env, manager->edb());
+  MaintenanceStats stats;
+  const Status dup = manager->ApplyUpdates(
+      {FactUpdate{facts[0], 50.0}, FactUpdate{facts[3], 9.0},
+       FactUpdate{facts[0], 70.0}},
+      &stats);
+  EXPECT_EQ(dup.code(), StatusCode::kInvalidArgument) << dup;
+  EXPECT_EQ(stats.updates_applied, 0);
+  EXPECT_EQ(LoadLiveEdb(env, manager->edb()), before);
+
+  // The same changes as separate batches apply, and match a rebuild.
+  IOLAP_ASSERT_OK(manager->ApplyUpdates({FactUpdate{facts[0], 50.0}}, &stats));
+  facts[0].measure = 50.0;
+  IOLAP_ASSERT_OK(manager->ApplyUpdates(
+      {FactUpdate{facts[3], 9.0}, FactUpdate{facts[0], 70.0}}, &stats));
+  facts[3].measure = 9.0;
+  facts[0].measure = 70.0;
+  ExpectEquivalentToRebuild(schema_, *manager, facts, options_);
+}
+
+/// Records every delta hand-off.
+class RecordingListener : public EdbChangeListener {
+ public:
+  void OnDeltas(std::span<const EdbLeafDelta> deltas) override {
+    calls.emplace_back(deltas.begin(), deltas.end());
+  }
+  std::vector<std::vector<EdbLeafDelta>> calls;
+};
+
+struct LeafTotals {
+  double w = 0;
+  double wv = 0;
+  double wv2 = 0;
+  int64_t rows = 0;
+};
+
+std::map<CellKey, LeafTotals> TotalsByLeaf(const EdbMap& edb) {
+  std::map<CellKey, LeafTotals> out;
+  for (const auto& [key, wm] : edb) {
+    LeafTotals& t = out[key.second];
+    t.w += wm.first;
+    t.wv += wm.first * wm.second;
+    t.wv2 += wm.first * wm.second * wm.second;
+    ++t.rows;
+  }
+  return out;
+}
+
+TEST_F(MutationsTest, ListenerGetsOneNettedDeltaPerLeafPerCall) {
+  std::vector<Hierarchy> dims;
+  IOLAP_ASSERT_OK_AND_ASSIGN(Hierarchy d0,
+                             HierarchyBuilder::Uniform("D0", {3, 3}));
+  IOLAP_ASSERT_OK_AND_ASSIGN(Hierarchy d1,
+                             HierarchyBuilder::Uniform("D1", {2, 2, 2}));
+  dims.push_back(d0);
+  dims.push_back(d1);
+  IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema,
+                             StarSchema::Create(std::move(dims)));
+  StorageEnv scratch(MakeTempDir(), 64);
+  DatasetSpec spec;
+  spec.num_facts = 250;
+  spec.imprecise_fraction = 0.35;
+  spec.seed = 91;
+  IOLAP_ASSERT_OK_AND_ASSIGN(auto gen, GenerateFacts(scratch, schema, spec));
+  std::vector<FactRecord> facts;
+  {
+    auto cursor = gen.Scan(scratch.pool());
+    FactRecord f;
+    while (!cursor.done()) {
+      IOLAP_ASSERT_OK(cursor.Next(&f));
+      facts.push_back(f);
+    }
+  }
+  StorageEnv env(MakeTempDir(), 256);
+  auto file = WriteFacts(env, facts);
+  ASSERT_TRUE(file.ok());
+  IOLAP_ASSERT_OK_AND_ASSIGN(
+      auto manager,
+      MaintenanceManager::Build(env, schema, &file.value(), options_));
+  RecordingListener listener;
+  manager->set_change_listener(&listener);
+
+  Rng rng(808);
+  FactId next_id = 50'000;
+  for (int step = 0; step < 9; ++step) {
+    const auto before = TotalsByLeaf(LoadLiveEdb(env, manager->edb()));
+    listener.calls.clear();
+    MaintenanceStats stats;
+    switch (step % 3) {
+      case 0: {  // updates of several distinct facts, precise and imprecise
+        std::vector<FactUpdate> batch;
+        for (size_t i = step; i < facts.size(); i += 37) {
+          batch.push_back(FactUpdate{facts[i], facts[i].measure + 3});
+          facts[i].measure += 3;
+        }
+        IOLAP_ASSERT_OK(manager->ApplyUpdates(batch, &stats));
+        break;
+      }
+      case 1: {  // inserts: precise (new or existing cells) and imprecise
+        std::vector<FactRecord> batch;
+        for (int i = 0; i < 4; ++i) {
+          FactRecord f;
+          f.fact_id = next_id++;
+          f.measure = 1 + static_cast<double>(rng.Uniform(40));
+          for (int d = 0; d < schema.num_dims(); ++d) {
+            const Hierarchy& h = schema.dim(d);
+            const int level = i % 2 == 0 ? 1 : 1 + static_cast<int>(rng.Uniform(
+                                                       h.num_levels()));
+            const auto& nodes = h.nodes_at_level(level);
+            f.node[d] = nodes[rng.Uniform(nodes.size())];
+            f.level[d] = static_cast<uint8_t>(level);
+          }
+          batch.push_back(f);
+        }
+        IOLAP_ASSERT_OK(manager->InsertFacts(batch, &stats));
+        facts.insert(facts.end(), batch.begin(), batch.end());
+        break;
+      }
+      default: {  // deletes
+        std::vector<FactRecord> batch = {facts[step], facts[step + 40]};
+        IOLAP_ASSERT_OK(manager->DeleteFacts(batch, &stats));
+        facts.erase(facts.begin() + step + 40);
+        facts.erase(facts.begin() + step);
+        break;
+      }
+    }
+    const auto after = TotalsByLeaf(LoadLiveEdb(env, manager->edb()));
+
+    // One hand-off per call, one delta per distinct leaf, in key order.
+    ASSERT_EQ(listener.calls.size(), 1u) << "step " << step;
+    const std::vector<EdbLeafDelta>& deltas = listener.calls[0];
+    for (size_t i = 1; i < deltas.size(); ++i) {
+      ASSERT_TRUE(LeafKeyLess(deltas[i - 1].leaf, deltas[i].leaf))
+          << "step " << step << ": leaves not strictly ascending";
+    }
+    // Each delta is exactly the leaf's net change; unlisted leaves did not
+    // change.
+    std::map<CellKey, const EdbLeafDelta*> by_leaf;
+    for (const EdbLeafDelta& d : deltas) {
+      CellKey key{};
+      std::memcpy(key.data(), d.leaf, sizeof(d.leaf));
+      by_leaf[key] = &d;
+    }
+    std::set<CellKey> leaves;
+    for (const auto& [key, t] : before) leaves.insert(key);
+    for (const auto& [key, t] : after) leaves.insert(key);
+    for (const CellKey& key : leaves) {
+      const LeafTotals b = before.count(key) ? before.at(key) : LeafTotals{};
+      const LeafTotals a = after.count(key) ? after.at(key) : LeafTotals{};
+      const auto it = by_leaf.find(key);
+      if (it == by_leaf.end()) {
+        EXPECT_EQ(a.rows, b.rows) << "step " << step;
+        EXPECT_NEAR(a.w, b.w, 1e-9) << "step " << step;
+        EXPECT_NEAR(a.wv, b.wv, 1e-9) << "step " << step;
+        continue;
+      }
+      const EdbLeafDelta& d = *it->second;
+      EXPECT_EQ(d.drows, a.rows - b.rows) << "step " << step;
+      EXPECT_NEAR(d.dw, a.w - b.w, 1e-9) << "step " << step;
+      EXPECT_NEAR(d.dwv, a.wv - b.wv, 1e-9) << "step " << step;
+      EXPECT_NEAR(d.dwv2, a.wv2 - b.wv2, 1e-7) << "step " << step;
+    }
+  }
+  // Compaction is a logical no-op and hands nothing over.
+  listener.calls.clear();
+  IOLAP_ASSERT_OK(manager->CompactEdb().status());
+  EXPECT_TRUE(listener.calls.empty());
+  manager->set_change_listener(nullptr);
 }
 
 }  // namespace
