@@ -10,14 +10,11 @@
 # the hierarchical aggregate index tier, plus the sharded serve path:
 # per-shard snapshot locks, the parallel group-by engine, and the
 # multi-shard torture/determinism cases in serve_concurrent_test), and the
-# plan-driven async read-ahead path (async_io_test; the io_uring backend
-# compiles out under TSan, so this covers the pread pool + the buffer
-# pool's plan bookkeeping racing demand pins), and the columnar serve path
-# (columnar_serve_test; worker threads pin page runs of the mirror and of
-# the row EDB against a pool smaller than the EDB), and the maintenance
-# change hand-off (synopsis_test, maintenance_mutations_test; one netted
-# per-leaf delta span per mutation call fans out to the aggregate index and
-# the synopsis store, each behind its own mutex).
+# columnar serve path (columnar_serve_test; worker threads pin page runs of
+# the mirror and of the row EDB against a pool smaller than the EDB), and
+# the maintenance change hand-off (synopsis_test, maintenance_mutations_test;
+# one netted per-leaf delta span per mutation call fans out to the aggregate
+# index and the synopsis store, each behind its own mutex).
 # Zero reported races is a release gate for the parallel execution and
 # serving subsystems.
 #
@@ -29,13 +26,13 @@ cd "$(dirname "$0")/.."
 BUILD=build-tsan
 cmake -B "$BUILD" -G Ninja -DIOLAP_SANITIZE=thread
 cmake --build "$BUILD" --target \
-  buffer_pool_test disk_manager_test thread_pool_test async_io_test \
+  buffer_pool_test disk_manager_test thread_pool_test \
   parallel_transitive_test external_sort_test io_pipeline_equivalence_test \
   obs_test serve_test serve_concurrent_test aggidx_test aggidx_concurrent_test \
   columnar_serve_test synopsis_test maintenance_mutations_test
 
 export TSAN_OPTIONS="halt_on_error=0:exitcode=66:${TSAN_OPTIONS:-}"
 ctest --test-dir "$BUILD" --output-on-failure \
-  -R 'BufferPool|DiskManager|ThreadPool|ParallelScheduler|ParallelTransitive|ExternalSort|IoPipeline|AsyncIo|PlannedPool|AsyncBackend|Metrics|Trace|Obs|ScopedObservability|JsonUtil|Serve|SelectiveInvalidation|AggIdx|AggIndex|Synopsis|Maintenance|Mutations' \
+  -R 'BufferPool|DiskManager|ThreadPool|ParallelScheduler|ParallelTransitive|ExternalSort|IoPipeline|Metrics|Trace|Obs|ScopedObservability|JsonUtil|Serve|SelectiveInvalidation|AggIdx|AggIndex|Synopsis|Maintenance|Mutations' \
   "$@"
 echo "TSan run clean."

@@ -38,22 +38,19 @@ void PublishResult(const AllocationResult& result) {
 }
 
 /// Applies a run's I/O pipeline knobs to the pool and restores the previous
-/// settings when the run returns, on every path: read-ahead, write-back
-/// batching and plan-driven read-ahead are per-run options, and left on the
-/// pool they would reach every later reader of it (serving scans included).
+/// settings when the run returns, on every path: read-ahead and write-back
+/// batching are per-run options, and left on the pool they would reach
+/// every later reader and writer of it (serving scans included).
 class ScopedIoSettings {
  public:
   ScopedIoSettings(BufferPool& pool, const IoPipelineOptions& io)
       : pool_(pool),
         read_ahead_pages_(pool.read_ahead_pages()),
-        batched_writeback_(pool.batched_writeback()),
-        plan_(pool.plan_read_ahead_config()) {
+        batched_writeback_(pool.batched_writeback()) {
     pool_.ConfigureReadAhead(io.read_ahead_pages);
     pool_.set_batched_writeback(io.batched_writeback);
-    pool_.ConfigurePlanReadAhead(io.io_backend, io.plan_in_flight);
   }
   ~ScopedIoSettings() {
-    pool_.ConfigurePlanReadAhead(plan_.backend, plan_.in_flight_chunks);
     pool_.set_batched_writeback(batched_writeback_);
     pool_.ConfigureReadAhead(read_ahead_pages_);
   }
@@ -64,7 +61,6 @@ class ScopedIoSettings {
   BufferPool& pool_;
   const int read_ahead_pages_;
   const bool batched_writeback_;
-  const BufferPool::PlanReadAheadConfig plan_;
 };
 
 }  // namespace

@@ -53,6 +53,7 @@ Status EmitExternal(StorageEnv& env, const StarSchema& schema,
     IOLAP_RETURN_IF_ERROR(engine.RunEmit(group, &appender, &stats));
   }
   appender.Close();
+  AddPassArgs(engine.stats(), &span);
   result->edges_emitted += stats.edges_emitted;
   result->unallocatable_facts += stats.unallocatable_facts;
   return Status::Ok();
@@ -81,14 +82,18 @@ Status RunBlock(StorageEnv& env, const StarSchema& schema,
     IoStats io_before = env.disk().stats();
     for (const auto& group : groups) {
       TraceSpan gamma_span("block.gamma");
+      const PassStats before = engine.stats();
       IOLAP_RETURN_IF_ERROR(engine.RunGamma(group));
+      AddPassArgs(engine.stats() - before, &gamma_span);
     }
     double max_eps = 0;
     for (size_t g = 0; g < groups.size(); ++g) {
       TraceSpan delta_span("block.delta");
+      const PassStats before = engine.stats();
       IOLAP_RETURN_IF_ERROR(engine.RunDelta(groups[g], /*init_delta=*/g == 0,
                                             /*finalize=*/g + 1 == groups.size(),
                                             &max_eps));
+      AddPassArgs(engine.stats() - before, &delta_span);
     }
     result->iterations = t;
     result->final_eps = max_eps;

@@ -5,16 +5,186 @@
 #include <cmath>
 #include <cstring>
 #include <deque>
-#include <unordered_map>
 #include <vector>
-
-#include "storage/access_plan.h"
 
 namespace iolap {
 
+namespace {
+
+/// Open-addressing hash map from a region's node vector (one node per
+/// dimension) to a value pointer; linear probing, backward-shift deletion,
+/// load factor at most 1/2. A window holds one entry per open region.
+template <typename T>
+class RegionMap {
+ public:
+  explicit RegionMap(int dims) : dims_(dims), slots_(16) {}
+
+  T* Find(const int32_t* key) const {
+    if (size_ == 0) return nullptr;
+    for (size_t i = Home(key);; i = Next(i)) {
+      const Slot& slot = slots_[i];
+      if (slot.value == nullptr) return nullptr;
+      if (Equal(slot.key.data(), key)) return slot.value;
+    }
+  }
+
+  /// `key` must be absent.
+  void Insert(const int32_t* key, T* value) {
+    if ((size_ + 1) * 2 > slots_.size()) Grow();
+    Place(key, value);
+    ++size_;
+  }
+
+  void Erase(const int32_t* key) {
+    size_t i = Home(key);
+    while (true) {
+      if (slots_[i].value == nullptr) return;  // absent
+      if (Equal(slots_[i].key.data(), key)) break;
+      i = Next(i);
+    }
+    // Shift later members of the probe run back over the hole, so lookups
+    // never need tombstones.
+    for (size_t j = Next(i); slots_[j].value != nullptr; j = Next(j)) {
+      const size_t home = Home(slots_[j].key.data());
+      const bool stays = i < j ? (home > i && home <= j)
+                               : (home > i || home <= j);
+      if (stays) continue;
+      slots_[i] = slots_[j];
+      i = j;
+    }
+    slots_[i].value = nullptr;
+    --size_;
+  }
+
+ private:
+  struct Slot {
+    std::array<int32_t, kMaxDims> key{};
+    T* value = nullptr;
+  };
+
+  size_t Next(size_t i) const { return (i + 1) & (slots_.size() - 1); }
+
+  size_t Home(const int32_t* key) const {
+    uint64_t h = 0;
+    for (int d = 0; d < dims_; ++d) {
+      h = (h ^ static_cast<uint32_t>(key[d])) * 0x9E3779B97F4A7C15ULL;
+    }
+    return static_cast<size_t>(h ^ (h >> 29)) & (slots_.size() - 1);
+  }
+
+  bool Equal(const int32_t* a, const int32_t* b) const {
+    for (int d = 0; d < dims_; ++d) {
+      if (a[d] != b[d]) return false;
+    }
+    return true;
+  }
+
+  void Place(const int32_t* key, T* value) {
+    size_t i = Home(key);
+    while (slots_[i].value != nullptr) i = Next(i);
+    std::memcpy(slots_[i].key.data(), key,
+                sizeof(int32_t) * static_cast<size_t>(dims_));
+    slots_[i].value = value;
+  }
+
+  void Grow() {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    for (const Slot& slot : old) {
+      if (slot.value != nullptr) Place(slot.key.data(), slot.value);
+    }
+  }
+
+  int dims_;
+  size_t size_ = 0;
+  std::vector<Slot> slots_;  // power-of-two size
+};
+
+/// FIFO of fixed-width keys in a power-of-two ring: one end key per open
+/// group, front = the oldest (next to evict).
+class KeyQueue {
+ public:
+  explicit KeyQueue(int width) : width_(static_cast<size_t>(width)) {}
+
+  int32_t* PushBack() {
+    if (size_ == capacity_) Grow();
+    int32_t* key = &buf_[((head_ + size_) & (capacity_ - 1)) * width_];
+    ++size_;
+    return key;
+  }
+  const int32_t* Front() const { return &buf_[head_ * width_]; }
+  void PopFront() {
+    head_ = (head_ + 1) & (capacity_ - 1);
+    --size_;
+  }
+
+ private:
+  void Grow() {
+    const size_t capacity = std::max<size_t>(16, capacity_ * 2);
+    std::vector<int32_t> buf(capacity * width_);
+    for (size_t i = 0; i < size_; ++i) {
+      std::memcpy(&buf[i * width_],
+                  &buf_[((head_ + i) & (capacity_ - 1)) * width_],
+                  sizeof(int32_t) * width_);
+    }
+    buf_.swap(buf);
+    capacity_ = capacity;
+    head_ = 0;
+  }
+
+  size_t width_;
+  size_t capacity_ = 0;
+  size_t head_ = 0;
+  size_t size_ = 0;
+  std::vector<int32_t> buf_;
+};
+
+/// The current cell's ancestor node at each (dimension, level), computed
+/// on first use per cell: a pass only needs the levels of the tables whose
+/// windows are open.
+class CellNodes {
+ public:
+  explicit CellNodes(const StarSchema* schema) {
+    int slots = 0;
+    for (int d = 0; d < schema->num_dims(); ++d) {
+      dims_[d] = &schema->dim(d);
+      level_base_[d] = slots;
+      slots += schema->dim(d).num_levels();
+    }
+    node_.resize(static_cast<size_t>(slots));
+    stamp_.assign(static_cast<size_t>(slots), -1);
+  }
+
+  void Reset(const int32_t* leaf) {
+    leaf_ = leaf;
+    ++now_;
+  }
+
+  int32_t Node(int d, int level) {
+    const int slot = level_base_[d] + level - 1;
+    if (stamp_[slot] != now_) {
+      node_[slot] = dims_[d]->LeafAncestor(leaf_[d], level);
+      stamp_[slot] = now_;
+    }
+    return node_[slot];
+  }
+
+ private:
+  const Hierarchy* dims_[kMaxDims] = {};
+  int level_base_[kMaxDims] = {};
+  std::vector<int32_t> node_;
+  std::vector<int64_t> stamp_;  // cell stamp of each node_ entry
+  const int32_t* leaf_ = nullptr;
+  int64_t now_ = 0;
+};
+
+}  // namespace
+
 /// Sliding window over one summary-table segment. Entries enter when the
 /// cell scan reaches their region-start key and leave past their region-end
-/// key; `write_back` persists modified entries on eviction.
+/// key; `write_back` persists modified entries on eviction. Each entry's
+/// start key is computed once when it is peeked, its end key once when its
+/// group opens.
 ///
 /// Facts with *identical regions* (common in clustered data) are merged
 /// into one open group — their Γ, Δ-contributions and ccid are provably
@@ -34,20 +204,40 @@ class PassEngine::TableWindow {
 
   TableWindow(BufferPool* pool, const StarSchema* schema,
               TypedFile<ImpreciseRecord>* file, const TableSegment& seg,
-              const SpecComparator* cmp, bool write_back, bool reset_on_load,
-              EmitStats* emit_stats)
+              const SpecComparator* cmp, CellNodes* cell_nodes,
+              bool write_back, bool reset_on_load, EmitStats* emit_stats)
       : pool_(pool),
         schema_(schema),
         file_(file),
         cmp_(cmp),
+        cell_nodes_(cell_nodes),
         write_back_(write_back),
         reset_on_load_(reset_on_load),
         emit_stats_(emit_stats),
-        cursor_(file->Scan(*pool, seg.begin, seg.end)) {}
+        key_size_(cmp->key_size()),
+        cursor_(file->Scan(*pool, seg.begin, seg.end)),
+        peek_key_(static_cast<size_t>(key_size_)),
+        end_keys_(key_size_),
+        by_region_(schema->num_dims()) {}
 
-  Status AdvanceTo(const CellRecord& cell) {
-    while (!open_.empty() &&
-           cmp_->CompareRegionEndToCell(open_.front().rec, cell) < 0) {
+  /// Whether AdvanceTo(cell_key) has anything to evict or load.
+  bool Due(const int32_t* cell_key) const {
+    if (!open_.empty() && SpecComparator::CompareKeys(
+                              end_keys_.Front(), cell_key, key_size_) < 0) {
+      return true;
+    }
+    if (have_peek_) {
+      return SpecComparator::CompareKeys(peek_key_.data(), cell_key,
+                                         key_size_) <= 0;
+    }
+    return !cursor_.done();
+  }
+
+  /// Evicts the groups that end before `cell_key` and loads the entries
+  /// that start at or before it.
+  Status AdvanceTo(const int32_t* cell_key) {
+    while (!open_.empty() && SpecComparator::CompareKeys(
+                                 end_keys_.Front(), cell_key, key_size_) < 0) {
       IOLAP_RETURN_IF_ERROR(EvictFront());
     }
     while (true) {
@@ -55,53 +245,52 @@ class PassEngine::TableWindow {
         if (cursor_.done()) break;
         peek_index_ = cursor_.index();
         IOLAP_RETURN_IF_ERROR(cursor_.Next(&peek_));
+        cmp_->RegionStartKey(peek_, peek_key_.data());
         have_peek_ = true;
       }
-      if (cmp_->CompareRegionStartToCell(peek_, cell) > 0) break;
+      if (SpecComparator::CompareKeys(peek_key_.data(), cell_key, key_size_) >
+          0) {
+        break;
+      }
       if (reset_on_load_) {
         peek_.gamma = 0;
         peek_.num_cells = 0;
       }
       Member member{peek_index_, peek_.fact_id, peek_.measure};
       ++record_count_;
-      NodeKey key = KeyOfRegion(peek_);
-      auto it = by_region_.find(key);
-      if (it != by_region_.end()) {
-        it->second->members.push_back(member);
+      if (OpenGroup* group = by_region_.Find(peek_.node)) {
+        group->members.push_back(member);
       } else {
-        if (!have_levels_) {
-          std::memcpy(levels_, peek_.level, sizeof(levels_));
-          have_levels_ = true;
-        }
+        // One segment is one summary table: every region has its levels.
+        std::copy_n(peek_.level, schema_->num_dims(), levels_);
         open_.push_back(OpenGroup{peek_, {member}});
-        by_region_.emplace(key, &open_.back());
+        cmp_->RegionEndKey(peek_, end_keys_.PushBack());
+        by_region_.Insert(peek_.node, &open_.back());
       }
       have_peek_ = false;
     }
     return Status::Ok();
   }
 
-  /// The unique open group covering `cell`, if any: within one summary
-  /// table regions are hierarchy-aligned and disjoint, so coverage is an
-  /// exact match on the cell's ancestor vector at the table's levels —
-  /// an O(1) lookup instead of a scan of the window.
-  OpenGroup* FindCovering(const CellRecord& cell) {
+  /// The unique open group covering the current cell, if any: within one
+  /// summary table regions are hierarchy-aligned and disjoint, so coverage
+  /// is an exact match on the cell's ancestor vector at the table's levels
+  /// — an O(1) lookup instead of a scan of the window.
+  OpenGroup* FindCovering() {
     if (open_.empty()) return nullptr;
-    NodeKey key{};
+    int32_t key[kMaxDims];
     for (int d = 0; d < schema_->num_dims(); ++d) {
-      const Hierarchy& h = schema_->dim(d);
-      if (levels_[d] == 1) {
-        key[d] = h.leaf_node(cell.leaf[d]);
-      } else {
-        key[d] = h.NodeAt(levels_[d],
-                          h.LeafAncestorOrdinal(cell.leaf[d], levels_[d]));
-      }
+      key[d] = cell_nodes_->Node(d, levels_[d]);
     }
-    auto it = by_region_.find(key);
-    return it == by_region_.end() ? nullptr : it->second;
+    return by_region_.Find(key);
   }
 
+  bool has_open() const { return !open_.empty(); }
   int64_t open_records() const { return record_count_; }
+
+  /// The next unloaded entry's start key; valid while has_peek().
+  bool has_peek() const { return have_peek_; }
+  const int32_t* peek_key() const { return peek_key_.data(); }
 
   Status Finish() {
     while (!open_.empty()) IOLAP_RETURN_IF_ERROR(EvictFront());
@@ -125,25 +314,6 @@ class PassEngine::TableWindow {
   }
 
  private:
-  using NodeKey = std::array<int32_t, kMaxDims>;
-  struct NodeKeyHash {
-    size_t operator()(const NodeKey& k) const {
-      uint64_t h = 1469598103934665603ULL;
-      for (int32_t v : k) {
-        h ^= static_cast<uint64_t>(static_cast<uint32_t>(v));
-        h *= 1099511628211ULL;
-      }
-      return static_cast<size_t>(h);
-    }
-  };
-
-  NodeKey KeyOfRegion(const ImpreciseRecord& rec) const {
-    NodeKey key{};
-    std::memcpy(key.data(), rec.node,
-                sizeof(int32_t) * static_cast<size_t>(schema_->num_dims()));
-    return key;
-  }
-
   Status EvictFront() {
     OpenGroup& group = open_.front();
     if (write_back_) {
@@ -161,7 +331,8 @@ class PassEngine::TableWindow {
           static_cast<int64_t>(group.members.size());
     }
     record_count_ -= static_cast<int64_t>(group.members.size());
-    by_region_.erase(KeyOfRegion(group.rec));
+    by_region_.Erase(group.rec.node);
+    end_keys_.PopFront();
     open_.pop_front();
     return Status::Ok();
   }
@@ -170,15 +341,18 @@ class PassEngine::TableWindow {
   const StarSchema* schema_;
   TypedFile<ImpreciseRecord>* file_;
   const SpecComparator* cmp_;
+  CellNodes* cell_nodes_;
   bool write_back_;
   bool reset_on_load_;
   EmitStats* emit_stats_;
-  uint8_t levels_[kMaxDims] = {};
-  bool have_levels_ = false;
+  int key_size_;
+  int levels_[kMaxDims] = {};  // the table's level vector
   TypedFile<ImpreciseRecord>::Cursor cursor_;
   std::deque<OpenGroup> open_;  // deque: stable references on push/pop
-  std::unordered_map<NodeKey, OpenGroup*, NodeKeyHash> by_region_;
   ImpreciseRecord peek_;
+  std::vector<int32_t> peek_key_;
+  KeyQueue end_keys_;  // parallel to open_
+  RegionMap<OpenGroup> by_region_;
   int64_t peek_index_ = -1;
   bool have_peek_ = false;
   int64_t record_count_ = 0;
@@ -222,30 +396,35 @@ Status PassEngine::RunPass(PassKind kind,
   const int64_t begin = cell_begin_;
   const int64_t end = cell_end_ < 0 ? cells_->size() : cell_end_;
 
-  // Every pass reads exactly the cell range and each segment's record
-  // range, front to back — publish that schedule so the buffer pool can
-  // overlap the next stretch of reads with window compute. The windows'
-  // own heuristic hints are suppressed for planned files.
-  AccessPlan plan;
-  if (end > begin) {
-    plan.AddRange(cells_->file_id(), TypedFile<CellRecord>::PageOf(begin),
-                  TypedFile<CellRecord>::PageOf(end - 1) + 1);
-  }
-  for (const TableSegment& seg : tables) {
-    if (seg.end <= seg.begin) continue;
-    plan.AddRange(imprecise_->file_id(),
-                  TypedFile<ImpreciseRecord>::PageOf(seg.begin),
-                  TypedFile<ImpreciseRecord>::PageOf(seg.end - 1) + 1);
-  }
-  BufferPool::PlannedAccess planned = pool_->BeginPlannedAccess(plan);
+  // Per cell, the sort key is computed once and the ancestor nodes once
+  // per (dimension, level) the open windows probe.
+  const int key_size = cmp_->key_size();
+  std::vector<int32_t> cell_key(static_cast<size_t>(key_size));
+  CellNodes cell_nodes(schema_);
 
   std::vector<TableWindow> windows;
   windows.reserve(tables.size());
   for (const TableSegment& seg : tables) {
-    windows.emplace_back(pool_, schema_, imprecise_, seg, cmp_,
+    windows.emplace_back(pool_, schema_, imprecise_, seg, cmp_, &cell_nodes,
                          write_back_entries, reset_on_load,
                          kind == PassKind::kEmit ? stats : nullptr);
   }
+
+  // Active windows in segment order; the first cell visits every window so
+  // the initial peeks load as a visit-every-window scan loads them.
+  // Dormant windows (nothing open, a peeked entry ahead) wait in a min-heap
+  // on that entry's start key, ties by window index.
+  std::vector<int32_t> active(windows.size());
+  for (size_t w = 0; w < windows.size(); ++w) {
+    active[w] = static_cast<int32_t>(w);
+  }
+  std::vector<int32_t> next_active, woken, merged;
+  std::vector<int32_t> dormant;
+  auto later = [&](int32_t a, int32_t b) {
+    const int c = SpecComparator::CompareKeys(windows[a].peek_key(),
+                                              windows[b].peek_key(), key_size);
+    return c != 0 ? c > 0 : a > b;
+  };
 
   auto cursor = mutate_cells ? cells_->MutableScan(*pool_, begin, end)
                              : cells_->Scan(*pool_, begin, end);
@@ -256,21 +435,55 @@ Status PassEngine::RunPass(PassKind kind,
   while (!cursor.done()) {
     IOLAP_RETURN_IF_ERROR(cursor.Read(&cell));
     bool cell_modified = false;
+    ++stats_.cells;
 
     if (kind == PassKind::kDelta && init_delta) {
       cell.delta_cur = cell.delta0;
       cell_modified = true;
     }
 
+    cmp_->CellKey(cell.leaf, cell_key.data());
+    cell_nodes.Reset(cell.leaf);
+
+    // Wake the dormant windows whose next entry starts at or before this
+    // cell and merge them into the active list in segment order.
+    while (!dormant.empty() &&
+           SpecComparator::CompareKeys(windows[dormant.front()].peek_key(),
+                                       cell_key.data(), key_size) <= 0) {
+      std::pop_heap(dormant.begin(), dormant.end(), later);
+      woken.push_back(dormant.back());
+      dormant.pop_back();
+    }
+    if (!woken.empty()) {
+      std::sort(woken.begin(), woken.end());
+      merged.clear();
+      std::merge(active.begin(), active.end(), woken.begin(), woken.end(),
+                 std::back_inserter(merged));
+      active.swap(merged);
+      woken.clear();
+    }
+
     int64_t open_total = 0;
     touched_ccids.clear();
     covering.clear();
     bool covered = false;
-    for (TableWindow& window : windows) {
-      IOLAP_RETURN_IF_ERROR(window.AdvanceTo(cell));
+    next_active.clear();
+    for (int32_t w : active) {
+      TableWindow& window = windows[static_cast<size_t>(w)];
+      if (window.Due(cell_key.data())) {
+        IOLAP_RETURN_IF_ERROR(window.AdvanceTo(cell_key.data()));
+      }
+      ++stats_.window_visits;
       open_total += window.open_records();
-      TableWindow::OpenGroup* group = window.FindCovering(cell);
+      if (window.has_open()) {
+        next_active.push_back(w);
+      } else if (window.has_peek()) {
+        dormant.push_back(w);
+        std::push_heap(dormant.begin(), dormant.end(), later);
+      }  // else exhausted: never visited again
+      TableWindow::OpenGroup* group = window.FindCovering();
       if (group == nullptr) continue;
+      ++stats_.covering_hits;
       covered = true;
       const double weight = static_cast<double>(group->members.size());
       switch (kind) {
@@ -303,6 +516,7 @@ Status PassEngine::RunPass(PassKind kind,
           break;
       }
     }
+    active.swap(next_active);
     peak_window_records_ = std::max(peak_window_records_, open_total);
 
     if (kind == PassKind::kCcid && covered) {

@@ -9,6 +9,7 @@
 #include "model/records.h"
 #include "model/schema.h"
 #include "model/sort_key.h"
+#include "obs/trace.h"
 #include "storage/paged_file.h"
 
 namespace iolap {
@@ -27,6 +28,29 @@ struct EmitStats {
   int64_t unallocatable_facts = 0;
 };
 
+/// Work counters of the window engine, cumulative over an engine's passes:
+/// cells scanned, (cell, window) visits, and visits that found a covering
+/// open region.
+struct PassStats {
+  int64_t cells = 0;
+  int64_t window_visits = 0;
+  int64_t covering_hits = 0;
+
+  PassStats operator-(const PassStats& o) const {
+    return PassStats{cells - o.cells, window_visits - o.window_visits,
+                     covering_hits - o.covering_hits};
+  }
+};
+
+/// Attaches `delta` to `span` as the args `cells`, `window_visits` and
+/// `covering_hits` (nothing when tracing is off).
+inline void AddPassArgs(const PassStats& delta, TraceSpan* span) {
+  if (!span->enabled()) return;
+  span->AddArg("cells", delta.cells);
+  span->AddArg("window_visits", delta.window_visits);
+  span->AddArg("covering_hits", delta.covering_hits);
+}
+
 /// Executes single passes over (a range of) the cell summary table against
 /// a group of summary-table segments, maintaining one sliding window per
 /// segment — the operational core shared by the Independent, Block and
@@ -37,6 +61,13 @@ struct EmitStats {
 /// table regions are hierarchy-aligned and pairwise disjoint, so start and
 /// end orders agree and eviction is strictly front-to-back; the peak window
 /// size is bounded by the table's partition size (Definition 9).
+///
+/// A cell visits only the *active* windows (those with an open region), in
+/// segment order. A window with nothing open waits in a min-heap keyed on
+/// its next entry's start key and rejoins when the scan reaches that key,
+/// so a pass costs O(open windows + activations · log W) per cell, not
+/// O(W), while loads, evictions and covering updates happen in exactly the
+/// order a visit-every-window scan performs them.
 class PassEngine {
  public:
   PassEngine(BufferPool* pool, const StarSchema* schema,
@@ -85,6 +116,9 @@ class PassEngine {
   /// far (for validating partition-size bounds in tests).
   int64_t peak_window_records() const { return peak_window_records_; }
 
+  /// Work counters summed over every pass so far.
+  const PassStats& stats() const { return stats_; }
+
  private:
   enum class PassKind { kGamma, kDelta, kCcid, kEmit };
 
@@ -103,6 +137,7 @@ class PassEngine {
   int64_t cell_begin_ = 0;
   int64_t cell_end_ = -1;
   int64_t peak_window_records_ = 0;
+  PassStats stats_;
 };
 
 }  // namespace iolap

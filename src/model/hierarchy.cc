@@ -140,14 +140,16 @@ Result<Hierarchy> HierarchyBuilder::Build() {
     }
   }
 
-  // Fast leaf -> ancestor-ordinal table.
+  // Fast leaf -> ancestor (ordinal and node) tables.
   h.leaf_ancestor_ordinal_.resize(static_cast<size_t>(h.num_levels_) *
                                   h.num_leaves_);
+  h.leaf_ancestor_node_.resize(h.leaf_ancestor_ordinal_.size());
   for (LeafId leaf = 0; leaf < h.num_leaves_; ++leaf) {
     NodeId node = h.leaf_node_[leaf];
     for (int level = 1; level <= h.num_levels_; ++level) {
       h.leaf_ancestor_ordinal_[(level - 1) * h.num_leaves_ + leaf] =
           h.ordinal_[node];
+      h.leaf_ancestor_node_[(level - 1) * h.num_leaves_ + leaf] = node;
       node = h.parent_[node];
     }
   }

@@ -74,6 +74,12 @@ class Hierarchy {
     return leaf_ancestor_ordinal_[(level - 1) * num_leaves_ + leaf];
   }
 
+  /// Ancestor of leaf `leaf` at `level` (the leaf's own node at level 1).
+  /// O(1) via a precomputed table, like LeafAncestorOrdinal.
+  NodeId LeafAncestor(LeafId leaf, int level) const {
+    return leaf_ancestor_node_[(level - 1) * num_leaves_ + leaf];
+  }
+
   /// Node id for the given (level, ordinal) pair.
   NodeId NodeAt(int level, int32_t ordinal) const {
     return levels_[level - 1][ordinal];
@@ -102,6 +108,7 @@ class Hierarchy {
   std::vector<NodeId> leaf_node_;
   std::vector<std::vector<NodeId>> levels_;
   std::vector<int32_t> leaf_ancestor_ordinal_;  // [level-1][leaf], flattened
+  std::vector<NodeId> leaf_ancestor_node_;      // [level-1][leaf], flattened
   std::unordered_map<std::string, NodeId> by_name_;
 };
 

@@ -133,24 +133,31 @@ class SpecComparator {
     return false;
   }
 
-  /// < 0 / 0 / > 0 comparing the region's start key to the cell's key.
-  int CompareRegionStartToCell(const ImpreciseRecord& r,
-                               const CellRecord& c) const {
+  /// Number of values in a key under this spec (one per term).
+  int key_size() const { return static_cast<int>(spec_.terms().size()); }
+
+  /// Materialized keys: one term value per sort term, written to `out`
+  /// (key_size() values). The window engine computes each key once and
+  /// compares keys with CompareKeys instead of re-deriving term values per
+  /// comparison.
+  void CellKey(const int32_t* leaf, int32_t* out) const {
+    for (const SortTerm& t : spec_.terms()) *out++ = CellTermValue(t, leaf);
+  }
+  void RegionStartKey(const ImpreciseRecord& r, int32_t* out) const {
     for (const SortTerm& t : spec_.terms()) {
-      int32_t vr = RegionStartTermValue(t, r.node, r.level);
-      int32_t vc = CellTermValue(t, c.leaf);
-      if (vr != vc) return vr < vc ? -1 : 1;
+      *out++ = RegionStartTermValue(t, r.node, r.level);
     }
-    return 0;
+  }
+  void RegionEndKey(const ImpreciseRecord& r, int32_t* out) const {
+    for (const SortTerm& t : spec_.terms()) {
+      *out++ = RegionEndTermValue(t, r.node, r.level);
+    }
   }
 
-  /// < 0 / 0 / > 0 comparing the region's end key to the cell's key.
-  int CompareRegionEndToCell(const ImpreciseRecord& r,
-                             const CellRecord& c) const {
-    for (const SortTerm& t : spec_.terms()) {
-      int32_t vr = RegionEndTermValue(t, r.node, r.level);
-      int32_t vc = CellTermValue(t, c.leaf);
-      if (vr != vc) return vr < vc ? -1 : 1;
+  /// < 0 / 0 / > 0 comparing two materialized keys of `n` values.
+  static int CompareKeys(const int32_t* a, const int32_t* b, int n) {
+    for (int i = 0; i < n; ++i) {
+      if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
     }
     return 0;
   }

@@ -10,14 +10,11 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
 #include "obs/metrics.h"
-#include "storage/access_plan.h"
-#include "storage/async_io.h"
 #include "storage/disk_manager.h"
 #include "storage/io_stats.h"
 
@@ -56,10 +53,10 @@ class PageGuard {
 /// RAII pin on a run of consecutive pages of one file, from
 /// `BufferPool::PinRun`. A *held* run pinned every page under one pool-latch
 /// acquisition and unpins them all under one more on release. A *degraded*
-/// run (the pool could not spare the frames, or an access plan is active)
-/// pins one page at a time on `Page()`, exactly like a sequential reader of
-/// single-page guards. Callers see the same bytes either way. Move-only;
-/// used by one thread at a time.
+/// run (the pool could not spare the frames) pins one page at a time on
+/// `Page()`, exactly like a sequential reader of single-page guards.
+/// Callers see the same bytes either way. Move-only; used by one thread at
+/// a time.
 class PageRun {
  public:
   PageRun() = default;
@@ -114,13 +111,12 @@ class PageRun {
 /// read path), and releasing the run unpins its pages in ascending order, so
 /// the LRU ends exactly as a page-at-a-time pin/unpin of those pages leaves
 /// it. A run is held only while it and the frames already pinned fit in
-/// half the pool; otherwise, and whenever an access plan is active, it
-/// degrades to one-page-at-a-time pins, so it never fails where a
-/// single-page scan would succeed. Page *contents* are accessed through
-/// PageGuard/PageRun without the latch: a pinned frame is never evicted or
-/// re-assigned, and the frame buffers are allocated once in the
-/// constructor, so data pointers stay stable. Concurrent readers of one
-/// page are safe; writers of one page must be externally serialized.
+/// half the pool; otherwise it degrades to one-page-at-a-time pins, so it
+/// never fails where a single-page scan would succeed. Page *contents* are
+/// accessed through PageGuard/PageRun without the latch: a pinned frame is
+/// never evicted or re-assigned, and the frame buffers are allocated once
+/// in the constructor, so data pointers stay stable. Concurrent readers of
+/// one page are safe; writers of one page must be externally serialized.
 ///
 /// Read-ahead: `Prefetch` enqueues a hint serviced by one background
 /// prefetcher thread. Prefetched frames enter the pool unpinned (evictable)
@@ -129,18 +125,6 @@ class PageRun {
 /// demand I/O the serial pipeline would issue (what the cost model pins).
 /// The prefetcher never evicts a demand-loaded frame: it only fills free
 /// frames or replaces still-unconsumed prefetched frames.
-///
-/// Plan-driven read-ahead: when a reader knows its page schedule exactly
-/// (the window engine's cell scan and segment windows), it wraps the scan
-/// in `BeginPlannedAccess(plan)`. The pool then drives an async backend
-/// (io_uring or a pread pool, `ConfigurePlanReadAhead`) a bounded distance
-/// ahead of the consumer, overlapping the next pages' reads with the
-/// current pages' compute. Completed planned reads are installed only into
-/// *free* frames (an "annex" outside the LRU, reclaimed by demand eviction
-/// before any LRU victim) or parked in their chunk buffer until demanded —
-/// so the demand-page cache contents, the LRU order, and therefore
-/// `IoStats::page_reads` evolve exactly as in a serial run. While a plan is
-/// active, heuristic hints for the planned files are suppressed.
 ///
 /// Hints are additionally *gated* so read-ahead backs off when it cannot
 /// help: a hint is dropped when the pool's prefetch headroom (free frames
@@ -153,11 +137,11 @@ class PageRun {
 /// probe. Gating only suppresses *physical* read-ahead traffic; demand
 /// reads (`IoStats::page_reads`) are unaffected.
 ///
-/// Destruction contract: the destructor stops the prefetcher, then writes
-/// back any remaining dirty frames best-effort (failures are logged to
-/// stderr and, in debug builds, assert). Callers that must observe flush
-/// errors should call FlushAll() themselves before destroying the pool —
-/// a destructor cannot report them.
+/// Teardown: `Close()` writes back every dirty frame and returns the first
+/// error. A pool destroyed without `Close()` stops the prefetcher, then
+/// writes back best-effort in its destructor; a failure there is logged to
+/// stderr and, in debug builds, asserts, because nobody is left to observe
+/// it.
 class BufferPool {
  public:
   BufferPool(DiskManager* disk, size_t capacity_pages);
@@ -191,56 +175,6 @@ class BufferPool {
   /// enable.
   void ConfigureReadAhead(int pages);
 
-  /// RAII handle for one active access plan; ends the plan (draining
-  /// in-flight reads) on destruction. Inert when default-constructed or
-  /// when the pool declined the plan.
-  class PlannedAccess {
-   public:
-    PlannedAccess() = default;
-    ~PlannedAccess();
-    PlannedAccess(const PlannedAccess&) = delete;
-    PlannedAccess& operator=(const PlannedAccess&) = delete;
-    PlannedAccess(PlannedAccess&& other) noexcept : pool_(other.pool_) {
-      other.pool_ = nullptr;
-    }
-    PlannedAccess& operator=(PlannedAccess&& other) noexcept;
-    bool active() const { return pool_ != nullptr; }
-
-   private:
-    friend class BufferPool;
-    explicit PlannedAccess(BufferPool* pool) : pool_(pool) {}
-    BufferPool* pool_ = nullptr;
-  };
-
-  /// Selects the async backend plan-driven read-ahead runs on and the
-  /// bound on concurrently in-flight read chunks. `backend` is resolved
-  /// through `ResolveAsyncBackend` (env override, auto-probing); kOff
-  /// makes every BeginPlannedAccess inert. Chunk size follows
-  /// `read_ahead_pages()`. Call before the first plan; the backend thread
-  /// starts lazily at the first accepted plan.
-  void ConfigurePlanReadAhead(AsyncBackendKind backend, int in_flight_chunks);
-
-  /// Starts driving `plan` (see the class comment). At most one plan may
-  /// be active; a second Begin, an empty plan, or an off/unavailable
-  /// backend returns an inert guard and the reader proceeds on demand
-  /// reads alone. Streams are clamped to the current file sizes.
-  PlannedAccess BeginPlannedAccess(const AccessPlan& plan);
-
-  /// The backend requested by the last ConfigurePlanReadAhead call and
-  /// the in-flight bound in effect (kOff and 4 before the first call);
-  /// passing them back to ConfigurePlanReadAhead restores the plan mode.
-  struct PlanReadAheadConfig {
-    AsyncBackendKind backend;
-    int in_flight_chunks;
-    bool operator==(const PlanReadAheadConfig& o) const {
-      return backend == o.backend && in_flight_chunks == o.in_flight_chunks;
-    }
-  };
-  PlanReadAheadConfig plan_read_ahead_config() const {
-    auto lock = Latch();
-    return {plan_requested_, plan_in_flight_};
-  }
-
   int read_ahead_pages() const {
     return read_ahead_pages_.load(std::memory_order_relaxed);
   }
@@ -265,6 +199,12 @@ class BufferPool {
   /// Flushes every dirty page in the pool.
   Status FlushAll();
 
+  /// Writes back every dirty frame and returns the first error (later
+  /// frames are still attempted). A frame whose write fails is reported
+  /// here and marked clean, so the destructor does not report it again.
+  /// Call it last, when the pool's files must be durable.
+  Status Close();
+
   /// Blocks until every prefetch enqueued so far has been serviced or
   /// dropped. Test-only determinism hook.
   void DrainPrefetches();
@@ -275,22 +215,6 @@ class BufferPool {
   /// path (`TryServiceQueuedPrefetch`) still runs. Callers must unpause
   /// (or purge via `ConfigureReadAhead(0)`) before `DrainPrefetches`.
   void SetPrefetcherPausedForTest(bool paused);
-
-  /// True when plan-driven read-ahead is driven synchronously from the pin
-  /// path instead of an async backend (see plan_sync_).
-  bool plan_sync_mode() const {
-    auto lock = Latch();
-    return plan_sync_;
-  }
-
-  /// Test hook: forces synchronous plan mode (see plan_sync_) regardless of
-  /// host parallelism, so the inline chunk-serve path is exercisable on
-  /// multi-core machines. Call between ConfigurePlanReadAhead (which
-  /// recomputes the mode) and BeginPlannedAccess.
-  void SetPlanSyncForTest(bool sync) {
-    auto lock = Latch();
-    plan_sync_ = sync;
-  }
 
   size_t capacity_pages() const { return capacity_; }
   size_t pinned_pages() const;
@@ -335,11 +259,7 @@ class BufferPool {
     int32_t pin_count = 0;
     bool dirty = false;
     bool prefetched = false;  // loaded by read-ahead, not yet consumed
-    // In plan_annex_ rather than lru_ (lru_pos then indexes the annex):
-    // planned frames occupy only frames a serial run would have free, so
-    // demand replacement is untouched (see FindVictim).
-    bool planned = false;
-    std::list<int32_t>::iterator lru_pos;  // valid iff in_lru or planned
+    std::list<int32_t>::iterator lru_pos;  // valid iff in_lru
     bool in_lru = false;
     std::unique_ptr<std::byte[]> data;
   };
@@ -365,33 +285,6 @@ class BufferPool {
     uint64_t epoch = 0;  // file epoch at enqueue; stale requests are dropped
   };
 
-  /// One in-flight or partially consumed chunk of planned read-ahead. The
-  /// buffer outlives the async read; pages that complete with no free
-  /// frame stay in it ("pending") until a demand Pin copies them out.
-  struct PlanChunk {
-    FileId file = kInvalidFileId;
-    PageId first = 0;
-    int64_t count = 0;
-    uint64_t epoch = 0;  // file epoch at submission
-    /// Async chunks read into one contiguous buffer (`data`, a single
-    /// backend request); synchronous chunks scatter-read into per-page
-    /// buffers (`page_bufs`) so a parked page is served by swapping its
-    /// buffer into the frame — no second copy. Exactly one is populated.
-    std::unique_ptr<std::byte[]> data;
-    std::vector<std::unique_ptr<std::byte[]>> page_bufs;
-    int64_t pending = 0;   // pages parked in the buffer awaiting a Pin
-    bool resolved = false;  // completion processed
-  };
-  /// Cursor over one PlanStream. next_submit only grows; pages behind
-  /// consume_pos are done and never resubmitted.
-  struct PlanStreamState {
-    FileId file = kInvalidFileId;
-    PageId begin = 0;
-    PageId next_submit = 0;
-    PageId end = 0;
-    PageId consume_pos = 0;
-  };
-
   /// Acquires mu_ and counts the acquisition. Every latch acquisition goes
   /// through here.
   std::unique_lock<std::mutex> Latch() const {
@@ -404,38 +297,13 @@ class BufferPool {
   /// Pin's body: pins `page` and returns its frame. Pool-hit metric
   /// increments are added to *metric_hits instead of the counter, so a run
   /// can publish them in one Add.
-  Result<int32_t> PinFrameLocked(std::unique_lock<std::mutex>& lock,
-                                 FileId file, PageId page,
+  Result<int32_t> PinFrameLocked(FileId file, PageId page,
                                  int64_t* metric_hits);
   void UnpinLocked(int32_t frame_index);
   /// Unpins a held run's frames in ascending page order (one latch).
   void UnpinRun(const std::vector<int32_t>& frames);
   Result<int32_t> FindVictim();
   int32_t FindPrefetchVictim();
-  /// Submits read chunks round-robin across plan streams until the
-  /// in-flight bound is met or nothing is submittable.
-  void PumpPlanLocked();
-  /// Serves a demand miss on a planned-but-unread page by reading the
-  /// whole upcoming chunk with one batched prefetch-class transfer on the
-  /// caller's thread, parking the tail pages for later pins. Returns the
-  /// pinned frame index, or -1 when the page is outside every stream or
-  /// the read/victim path fails (the caller falls back to a plain demand
-  /// read). This is the plan driver in synchronous mode (plan_sync_) and
-  /// the rescue path when the demand stream outruns the async frontier.
-  int32_t TryServePlannedChunkLocked(FileId file, PageId page);
-  /// Advances the plan consumption cursor past `page` and re-pumps.
-  void PlanNotifyPinLocked(FileId file, PageId page);
-  /// Completion handler for the async backend (locks mu_ itself).
-  void PlanReadComplete(uint64_t tag, bool ok);
-  /// Tears down the active plan: drains in-flight reads, drops pending
-  /// pages as wasted, keeps installed annex frames cached.
-  void EndPlannedAccess();
-  /// Drops plan state referring to `file` (EvictFile): kills its streams
-  /// and discards its pending pages. In-flight chunks die at their epoch
-  /// check on completion.
-  void DropPlanStateForFileLocked(FileId file);
-  /// Releases `chunk`'s buffer once it is resolved and no page is parked.
-  void MaybeFreeChunkLocked(uint64_t tag);
   Status FlushFrame(Frame& frame);
   Status FlushFramesBatched(std::vector<int32_t>& frame_indices);
   void ReleaseFrame(size_t frame_index);
@@ -456,10 +324,7 @@ class BufferPool {
   }
   std::byte* FrameData(int32_t frame_index) {
     // Lock-free: the caller holds a pin, so the frame cannot be
-    // re-assigned underneath it. The buffer address is stable while
-    // pinned — it only changes when an unpinned frame adopts a
-    // synchronous plan chunk's page buffer, under mu_ (see Pin's
-    // pending-serve path).
+    // re-assigned underneath it, and frame buffers never move.
     return frames_[frame_index].data.get();
   }
 
@@ -489,39 +354,6 @@ class BufferPool {
   std::unordered_map<Key, int32_t, KeyHash> page_table_;
   std::unordered_map<FileId, uint64_t> file_epochs_;  // bumped by EvictFile
   PoolStats stats_;
-  // ---- Plan-driven read-ahead state (all under mu_; the backend's
-  // completion thread re-acquires mu_ through PlanReadComplete). mu_ may
-  // be held while calling into the backend's Submit, never the reverse.
-  std::unique_ptr<AsyncReader> async_reader_;
-  AsyncBackendKind plan_backend_ = AsyncBackendKind::kOff;  // resolved
-  AsyncBackendKind plan_requested_ = AsyncBackendKind::kOff;  // unresolved
-  /// Drive plans synchronously from the pin path instead of spawning an
-  /// async backend. Chosen by ConfigurePlanReadAhead for kAuto on hosts
-  /// with a single hardware thread: there a backend thread cannot overlap
-  /// anything and every handoff is a context switch, while the batched
-  /// chunk read alone (one pread per chunk vs. one per page) already beats
-  /// the serial pipeline. An explicit backend request or IOLAP_IO_BACKEND
-  /// override forces the async path regardless.
-  bool plan_sync_ = false;
-  int plan_in_flight_ = 4;     // max chunks submitted but not completed
-  bool plan_active_ = false;   // accepting pumps/notifies for a plan
-  std::vector<PlanStreamState> plan_streams_;
-  size_t plan_next_stream_ = 0;  // round-robin pump position
-  int64_t plan_outstanding_ = 0;
-  uint64_t plan_next_tag_ = 1;
-  std::unordered_map<uint64_t, std::unique_ptr<PlanChunk>> plan_chunks_;
-  struct PendingPage {
-    uint64_t chunk_tag = 0;
-    int64_t offset = 0;  // page index within the chunk
-  };
-  std::unordered_map<Key, PendingPage, KeyHash> plan_pending_;
-  std::unordered_set<Key, KeyHash> plan_inflight_pages_;
-  std::unordered_set<FileId> plan_files_;
-  std::list<int32_t> plan_annex_;  // planned frames, outside the LRU
-  /// Signalled whenever an in-flight chunk resolves (installed, parked, or
-  /// dropped): demand Pins overtaking the plan wait here, EndPlannedAccess
-  /// drains here. Waits use mu_.
-  std::condition_variable plan_cv_;
   // Prefetch-gating state (all under mu_): loaded-but-unconsumed read-ahead
   // frames, and the rolling window of decided prefetches.
   int64_t prefetched_unconsumed_ = 0;

@@ -83,12 +83,6 @@ class DiskManager {
   Status ReadPages(FileId file, PageId first, int64_t n, void* buffer,
                    bool prefetch = false);
 
-  /// Vectored variant of ReadPages: scatters `n` consecutive pages starting
-  /// at `first` into `n` separate kPageSize buffers with one preadv. Same
-  /// counting and prefetch semantics as ReadPages.
-  Status ReadPagesScatter(FileId file, PageId first, std::byte* const* pages,
-                          int64_t n, bool prefetch = false);
-
   /// Writes `buffer` (kPageSize bytes) to page `page`, growing the file if
   /// `page` is the first page past the end. Writing further past the end is
   /// an error (pages are always allocated densely).
@@ -155,19 +149,6 @@ class DiskManager {
     page_reads_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Charges `n` physical prefetch reads issued outside the page API. The
-  /// io_uring backend reads through the raw fd and reports its successful
-  /// transfers here so the demand-vs-prefetch IoStats split holds.
-  void ChargePrefetchReads(int64_t n) {
-    prefetch_reads_.fetch_add(n, std::memory_order_relaxed);
-  }
-
-  /// Raw file descriptor of `file` for backends that issue their own
-  /// positional reads (io_uring). Valid until DeleteFile or this manager's
-  /// destructor; callers must not close it and must not keep reads in
-  /// flight across DeleteFile.
-  Result<int> RawFd(FileId file) const;
-
   /// Race-free snapshot of the I/O counters (the counters themselves are
   /// atomics, so concurrent reads and writes keep incrementing while the
   /// snapshot is taken).
@@ -209,9 +190,6 @@ class DiskManager {
   // Single-attempt bodies wrapped by the public retrying entry points.
   Status ReadPagesOnce(FileId file, PageId first, int64_t n, void* buffer,
                        bool prefetch);
-  Status ReadPagesScatterOnce(FileId file, PageId first,
-                              std::byte* const* pages, int64_t n,
-                              bool prefetch);
   Status WritePagesOnce(FileId file, PageId first, int64_t n,
                         const void* buffer);
   Status WritePagesGatherOnce(FileId file, PageId first,

@@ -4,8 +4,6 @@
 #include <algorithm>
 #include <thread>
 
-#include "storage/async_io.h"
-
 namespace iolap {
 
 /// Tuning knobs for the storage I/O pipeline. Every knob affects only
@@ -33,18 +31,6 @@ struct IoPipelineOptions {
   /// FlushFile/FlushAll (eviction write-back stays per-page).
   bool batched_writeback = true;
 
-  /// Async backend for plan-driven read-ahead: readers with an exact page
-  /// schedule (the window engine's passes) emit an AccessPlan the buffer
-  /// pool drives asynchronously, overlapping the next window's reads with
-  /// the current window's compute. kAuto probes for io_uring and falls
-  /// back to a pread thread pool; kOff leaves only the heuristic hints.
-  AsyncBackendKind io_backend = AsyncBackendKind::kAuto;
-
-  /// Bound on concurrently in-flight planned read chunks (each chunk is
-  /// `read_ahead_pages` pages), so small pools never sacrifice demand
-  /// frames to read-ahead staging.
-  int plan_in_flight = 4;
-
   int EffectiveSortThreads() const {
     if (sort_threads > 0) return sort_threads;
     unsigned hw = std::thread::hardware_concurrency();
@@ -59,7 +45,6 @@ struct IoPipelineOptions {
     o.merge_block_pages = 1;
     o.read_ahead_pages = 0;
     o.batched_writeback = false;
-    o.io_backend = AsyncBackendKind::kOff;
     return o;
   }
 };

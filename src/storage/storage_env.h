@@ -24,6 +24,10 @@ class StorageEnv {
     return static_cast<int64_t>(pool_->capacity_pages());
   }
 
+  /// Writes back the pool's dirty pages and returns the first error (see
+  /// BufferPool::Close).
+  Status Close() { return pool_->Close(); }
+
  private:
   std::unique_ptr<DiskManager> disk_;
   std::unique_ptr<BufferPool> pool_;

@@ -435,17 +435,13 @@ TEST(AllocatorWindows, PeakWindowWithinPartitionBound) {
 struct PoolIoSettings {
   int read_ahead_pages;
   bool batched_writeback;
-  BufferPool::PlanReadAheadConfig plan;
-  bool plan_sync;
 
   static PoolIoSettings Of(const BufferPool& pool) {
-    return {pool.read_ahead_pages(), pool.batched_writeback(),
-            pool.plan_read_ahead_config(), pool.plan_sync_mode()};
+    return {pool.read_ahead_pages(), pool.batched_writeback()};
   }
   bool operator==(const PoolIoSettings& o) const {
     return read_ahead_pages == o.read_ahead_pages &&
-           batched_writeback == o.batched_writeback && plan == o.plan &&
-           plan_sync == o.plan_sync;
+           batched_writeback == o.batched_writeback;
   }
 };
 
@@ -456,7 +452,6 @@ TEST(AllocatorIoSettings, RestoredAfterSuccessfulRun) {
     if (customized) {
       env.pool().ConfigureReadAhead(3);
       env.pool().set_batched_writeback(false);
-      env.pool().ConfigurePlanReadAhead(AsyncBackendKind::kPread, 2);
     }
     const PoolIoSettings before = PoolIoSettings::Of(env.pool());
     DatasetSpec spec;
@@ -478,7 +473,7 @@ TEST(AllocatorIoSettings, RestoredAfterSuccessfulRun) {
 TEST(AllocatorIoSettings, RestoredAfterFailedRun) {
   IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema, MakeAutomotiveSchema());
   int failed_runs = 0;
-  // Failure points in preprocessing, in the planned EM iterations, and past
+  // Failure points in preprocessing, in the EM iterations, and past
   // the end of the run.
   for (const int failure_point : {50, 500, 100000}) {
     StorageEnv env(MakeTempDir(), 16);

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "storage/access_plan.h"
 #include "tests/test_util.h"
 
 namespace iolap {
@@ -288,6 +287,34 @@ TEST_F(BufferPoolTest, DestructorWritesBackDirtyPages) {
   EXPECT_EQ(page[7], std::byte{0x5A});
 }
 
+// Close writes every dirty frame back, keeps going past a failed write, and
+// returns the first error; the failed page counts as reported, so the
+// destructor afterwards has nothing left to lose.
+TEST_F(BufferPoolTest, CloseReturnsFirstWriteBackError) {
+  FileId f = NewFileWithPages(3);
+  {
+    BufferPool pool(&disk_, 4);
+    for (PageId p = 0; p < 3; ++p) {
+      IOLAP_ASSERT_OK_AND_ASSIGN(PageGuard g, pool.Pin(f, p));
+      g.data()[0] = std::byte{0x77};
+      g.MarkDirty();
+    }
+    disk_.SetFaultInjector([](char op, FileId, PageId page) {
+      return op == 'w' && page == 1 ? Status::IoError("injected write fault")
+                                    : Status::Ok();
+    });
+    Status closed = pool.Close();
+    disk_.SetFaultInjector(nullptr);
+    EXPECT_EQ(closed.code(), StatusCode::kIoError);
+    IOLAP_EXPECT_OK(pool.Close());  // nothing dirty left
+  }
+  std::byte page[kPageSize];
+  for (PageId p : {0, 2}) {
+    IOLAP_ASSERT_OK(disk_.ReadPage(f, p, page));
+    EXPECT_EQ(page[0], std::byte{0x77}) << "page " << p;
+  }
+}
+
 TEST_F(BufferPoolTest, DisablingReadAheadPurgesQueuedHints) {
   FileId f = NewFileWithPages(8);
   BufferPool pool(&disk_, 16);
@@ -556,27 +583,6 @@ TEST_F(BufferPoolTest, RunDegradesWhenPoolCannotHoldIt) {
     IOLAP_ASSERT_OK_AND_ASSIGN(const std::byte* page, run.Page(i));
     EXPECT_TRUE(PageHolds(page, i));
   }
-}
-
-TEST_F(BufferPoolTest, RunDegradesToPinWhileAPlanIsActive) {
-  FileId f = NewFileWithPages(16);
-  BufferPool pool(&disk_, 64);
-  pool.ConfigureReadAhead(4);
-  pool.ConfigurePlanReadAhead(AsyncBackendKind::kPread, 2);
-  AccessPlan plan;
-  plan.AddRange(f, 0, 16);
-  {
-    BufferPool::PlannedAccess planned = pool.BeginPlannedAccess(plan);
-    ASSERT_TRUE(planned.active());
-    IOLAP_ASSERT_OK_AND_ASSIGN(PageRun run, pool.PinRun(f, 0, 16));
-    EXPECT_FALSE(run.held());
-    for (int64_t i = 0; i < run.size(); ++i) {
-      IOLAP_ASSERT_OK_AND_ASSIGN(const std::byte* page, run.Page(i));
-      EXPECT_TRUE(PageHolds(page, i));
-    }
-  }
-  IOLAP_ASSERT_OK_AND_ASSIGN(PageRun run, pool.PinRun(f, 0, 16));
-  EXPECT_TRUE(run.held());
 }
 
 TEST_F(BufferPoolTest, ConcurrentRunsNeverExhaustSmallPool) {

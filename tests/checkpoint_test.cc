@@ -127,6 +127,13 @@ bool RunKilled(const StarSchema& schema, AlgorithmKind algorithm,
   options.checkpoint.every = CadenceFor(algorithm);
   auto result_or = Allocator::Run(env, schema, &facts, options);
   EXPECT_EQ(result_or.ok(), countdown > 0);
+  // A crashed process loses its dirty pages. Close acknowledges that (the
+  // injector may still fail their write-back) instead of leaving them to
+  // the destructor, which asserts on a lost page; the resume reads only
+  // the checkpoint directory.
+  Status closed = env.Close();
+  EXPECT_TRUE(closed.ok() || closed.code() == StatusCode::kIoError)
+      << closed.ToString();
   return countdown <= 0;
 }
 

@@ -82,6 +82,7 @@ TEST(HierarchyTest, LeafAncestorOrdinalIsMonotone) {
       // Cross-check against the slow path.
       NodeId anc = h.AncestorAtLevel(h.leaf_node(l), level);
       EXPECT_EQ(ord, h.ordinal(anc));
+      EXPECT_EQ(h.LeafAncestor(l, level), anc);
     }
   }
 }

@@ -103,9 +103,11 @@ TEST_P(IoPipelineEquivalence, EdbIsByteIdenticalPipelineOnVsOff) {
       << "EDB bytes diverge between serial and pipelined I/O";
 }
 
-// Plan-driven async read-ahead must neither change the EDB bytes nor the
-// *demand* page reads the cost model counts — on any backend. The serial
-// run is the reference for both.
+// Each knob on its own, and the pipeline fully on, must change neither the
+// EDB bytes nor the demand page I/O the cost model counts. Hinted read-ahead
+// is the asynchronous read path: the pool's background prefetcher services
+// the hints while the allocation pins pages. The serial run is the
+// reference for both.
 TEST_P(IoPipelineEquivalence, EdbAndDemandIoIdenticalAcrossAsyncBackends) {
   const PipelineParam& param = GetParam();
   IOLAP_ASSERT_OK_AND_ASSIGN(StarSchema schema, MakeDenseSchema());
@@ -115,21 +117,32 @@ TEST_P(IoPipelineEquivalence, EdbAndDemandIoIdenticalAcrossAsyncBackends) {
       RunAndDumpEdb(schema, param.algorithm, param.seed,
                     IoPipelineOptions::Serial(), &serial_io);
 
-  std::vector<AsyncBackendKind> backends = {AsyncBackendKind::kPread};
-  if (IoUringSupported()) backends.push_back(AsyncBackendKind::kUring);
-  for (AsyncBackendKind backend : backends) {
-    IoPipelineOptions io;  // pipeline fully on
-    io.io_backend = backend;
+  struct Variant {
+    const char* name;
+    IoPipelineOptions io;
+  };
+  std::vector<Variant> variants(5, Variant{"", IoPipelineOptions::Serial()});
+  variants[0].name = "sort_threads=4";
+  variants[0].io.sort_threads = 4;
+  variants[1].name = "merge_block_pages=0";
+  variants[1].io.merge_block_pages = 0;
+  variants[2].name = "batched_writeback";
+  variants[2].io.batched_writeback = true;
+  variants[3].name = "read_ahead_pages=8";
+  variants[3].io.read_ahead_pages = 8;
+  variants[4].name = "pipeline fully on";
+  variants[4].io = IoPipelineOptions();
+  for (const Variant& v : variants) {
     IoStats piped_io;
     std::vector<std::byte> piped =
-        RunAndDumpEdb(schema, param.algorithm, param.seed, io, &piped_io);
-    ASSERT_EQ(serial.size(), piped.size()) << AsyncBackendName(backend);
+        RunAndDumpEdb(schema, param.algorithm, param.seed, v.io, &piped_io);
+    ASSERT_EQ(serial.size(), piped.size()) << v.name;
     EXPECT_EQ(std::memcmp(serial.data(), piped.data(), serial.size()), 0)
-        << "EDB bytes diverge on backend " << AsyncBackendName(backend);
+        << "EDB bytes diverge with " << v.name;
     EXPECT_EQ(piped_io.page_reads, serial_io.page_reads)
-        << "demand reads diverge on backend " << AsyncBackendName(backend);
+        << "demand reads diverge with " << v.name;
     EXPECT_EQ(piped_io.page_writes, serial_io.page_writes)
-        << "page writes diverge on backend " << AsyncBackendName(backend);
+        << "page writes diverge with " << v.name;
   }
 }
 

@@ -106,8 +106,13 @@ TEST(SortSpecTest, CoverageImpliesKeyIntervalContainment) {
                           static_cast<int32_t>(
                               rng.Uniform(schema.dim(1).num_leaves())));
       if (RegionCovers(schema, r.node, c.leaf)) {
-        EXPECT_LE(cmp.CompareRegionStartToCell(r, c), 0);
-        EXPECT_GE(cmp.CompareRegionEndToCell(r, c), 0);
+        const int n = cmp.key_size();
+        std::vector<int32_t> start(n), end(n), cell(n);
+        cmp.RegionStartKey(r, start.data());
+        cmp.RegionEndKey(r, end.data());
+        cmp.CellKey(c.leaf, cell.data());
+        EXPECT_LE(SpecComparator::CompareKeys(start.data(), cell.data(), n), 0);
+        EXPECT_GE(SpecComparator::CompareKeys(end.data(), cell.data(), n), 0);
       }
     }
   }
